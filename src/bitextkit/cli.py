@@ -13,13 +13,20 @@ import sys
 import click
 
 from . import __version__
-from .cleaner import audit_table, clean
-from .cognates import count_examined, extract_cognates, preservation
-from .corpus_io import SentencePair, corpus_stats, read_parallel, read_tsv, write_parallel
+from .cleaner import audit_table
+from .corpus_io import corpus_stats, decode_lines, read_lines, read_parallel, read_tsv
 from .exceptions import BitextError
 from .langid import classify, load_model, save_model, train
 from .metrics import score_report
-from .pipeline import ConfigParseError, StageFailure, run_pipeline, validate_config
+from .pipeline import (
+    StageFailure,
+    clean_and_write,
+    cognate_report,
+    dump_json,
+    run_pipeline,
+    validate_config,
+    with_provenance,
+)
 from .tokenizer import detokenize, resolve_rules, tokenize
 
 
@@ -30,13 +37,6 @@ def _fail(message: str, code: int) -> None:
 
 def _echo_json(payload: dict) -> None:
     click.echo(json.dumps(payload, indent=2, sort_keys=True))
-
-
-def _with_provenance(payload: dict, config_echo: dict) -> dict:
-    payload = dict(payload)
-    payload["tool_version"] = __version__
-    payload["config_echo"] = config_echo
-    return payload
 
 
 @click.group()
@@ -51,8 +51,7 @@ def cli():
 @click.option("--tsv", "tsv_path", type=click.Path(exists=True, dir_okay=False), help="Single TSV corpus instead of --src/--tgt.")
 @click.option("--src-lang", default="src", show_default=True)
 @click.option("--tgt-lang", default="tgt", show_default=True)
-@click.option("--tokenized", is_flag=True, help="Input is already tokenized.")
-def stats(src_path, tgt_path, tsv_path, src_lang, tgt_lang, tokenized):
+def stats(src_path, tgt_path, tsv_path, src_lang, tgt_lang):
     """Sentence/word counts and type-token ratios of a corpus."""
     try:
         if tsv_path:
@@ -61,15 +60,10 @@ def stats(src_path, tgt_path, tsv_path, src_lang, tgt_lang, tokenized):
             pairs = read_parallel(src_path, tgt_path, src_lang, tgt_lang)
         else:
             _fail("provide --tsv or both --src and --tgt", 1)
-        result = corpus_stats(pairs, tokenized=tokenized)
+        result = corpus_stats(pairs)
     except BitextError as exc:
         _fail(str(exc), 2)
-    _echo_json(
-        _with_provenance(
-            result.to_dict(),
-            {"src": src_path, "tgt": tgt_path, "tsv": tsv_path, "tokenized": tokenized},
-        )
-    )
+    _echo_json(with_provenance(result.to_dict(), {"src": src_path, "tgt": tgt_path, "tsv": tsv_path}))
 
 
 def _parse_seed(args) -> dict:
@@ -79,9 +73,8 @@ def _parse_seed(args) -> dict:
             _fail(f"--seed expects LANG=FILE, got {item!r}", 1)
         lang, _, path = item.partition("=")
         try:
-            with open(path, "r", encoding="utf-8") as fh:
-                seeds[lang] = fh.read().splitlines()
-        except OSError as exc:
+            seeds[lang] = read_lines(path)
+        except (OSError, BitextError) as exc:
             _fail(f"cannot read seed for {lang!r}: {exc}", 1)
     return seeds
 
@@ -106,17 +99,16 @@ def langid_train(seeds, out_path, ngram_min, ngram_max, vocab_size, alpha):
 
 @cli.command("langid-classify")
 @click.option("--model", "model_path", required=True, type=click.Path(exists=True, dir_okay=False))
-@click.option("--file", "input_path", type=click.File("r", encoding="utf-8"), default="-", help="Input lines (default stdin).")
+@click.option("--file", "input_path", type=click.File("rb"), default="-", help="Input lines (default stdin).")
 def langid_classify(model_path, input_path):
     """Classify lines; emits TSV: text, predicted language, margin."""
     try:
         model = load_model(model_path)
+        for text in decode_lines(input_path):
+            prediction = classify(model, text)
+            click.echo(f"{text}\t{prediction.lang}\t{prediction.margin:.6f}")
     except BitextError as exc:
         _fail(str(exc), 2)
-    for line in input_path:
-        text = line.rstrip("\n").rstrip("\r")
-        prediction = classify(model, text)
-        click.echo(f"{text}\t{prediction.lang}\t{prediction.margin:.6f}")
 
 
 @cli.command("clean")
@@ -142,20 +134,15 @@ def clean_cmd(src_path, tgt_path, src_lang, tgt_lang, model_path, mode, out_pref
     out_tgt = f"{out_prefix}.{tgt_lang}"
     try:
         pairs = list(read_parallel(src_path, tgt_path, src_lang, tgt_lang))
-        if no_clean:
-            kept = pairs
-            body = {"total": len(pairs), "kept": len(pairs), "removed_by_reason": {}, "cleaning": "disabled"}
-        else:
-            model = load_model(model_path)
-            result = clean(pairs, model, mode=mode, workers=workers, keep_decisions=full_report or bool(audit))
-            kept = result.kept
-            body = result.report.to_dict(include_decisions=full_report)
-            if audit:
-                click.echo(audit_table(result.report.decisions, pairs, fmt=audit), err=True)
-        write_parallel(kept, out_src, out_tgt)
+        kept, body, decisions = clean_and_write(
+            pairs, None if no_clean else model_path, mode, workers, out_src, out_tgt,
+            keep_decisions=bool(audit), include_decisions=full_report,
+        )
+        if audit and not no_clean:
+            click.echo(audit_table(decisions, pairs, fmt=audit), err=True)
     except BitextError as exc:
         _fail(str(exc), 2)
-    payload = _with_provenance(
+    payload = with_provenance(
         body,
         {
             "src": src_path,
@@ -167,9 +154,7 @@ def clean_cmd(src_path, tgt_path, src_lang, tgt_lang, model_path, mode, out_pref
         },
     )
     if report_path:
-        with open(report_path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        dump_json(report_path, payload)
     else:
         _echo_json(payload)
     click.echo(f"kept {len(kept)}/{len(pairs)} pairs -> {out_src}, {out_tgt}", err=True)
@@ -179,27 +164,31 @@ def clean_cmd(src_path, tgt_path, src_lang, tgt_lang, model_path, mode, out_pref
 @click.option("--lang", required=True)
 @click.option("--fallback-of", "fallback_of", default=None, help="Paired language whose rules apply when --lang is unsupported.")
 @click.option("--aggressive-hyphen", is_flag=True)
-@click.option("--input", "input_file", type=click.File("r", encoding="utf-8"), default="-")
+@click.option("--input", "input_file", type=click.File("rb"), default="-")
 @click.option("--output", "output_file", type=click.File("w", encoding="utf-8"), default="-")
 def tokenize_cmd(lang, fallback_of, aggressive_hyphen, input_file, output_file):
     """Tokenize lines (stdin to stdout by default)."""
     rules = resolve_rules(lang, fallback_of, aggressive_hyphen=aggressive_hyphen)
-    for line in input_file:
-        text = line.rstrip("\n").rstrip("\r")
-        output_file.write(" ".join(tokenize(text, rules)) + "\n")
+    try:
+        for text in decode_lines(input_file):
+            output_file.write(" ".join(tokenize(text, rules)) + "\n")
+    except BitextError as exc:
+        _fail(str(exc), 2)
 
 
 @cli.command("detokenize")
 @click.option("--lang", required=True)
 @click.option("--fallback-of", "fallback_of", default=None)
-@click.option("--input", "input_file", type=click.File("r", encoding="utf-8"), default="-")
+@click.option("--input", "input_file", type=click.File("rb"), default="-")
 @click.option("--output", "output_file", type=click.File("w", encoding="utf-8"), default="-")
 def detokenize_cmd(lang, fallback_of, input_file, output_file):
     """Reverse Moses-style tokenization (stdin to stdout by default)."""
     rules = resolve_rules(lang, fallback_of)
-    for line in input_file:
-        text = line.rstrip("\n").rstrip("\r")
-        output_file.write(detokenize(text.split(), rules) + "\n")
+    try:
+        for text in decode_lines(input_file):
+            output_file.write(detokenize(text.split(), rules) + "\n")
+    except BitextError as exc:
+        _fail(str(exc), 2)
 
 
 @cli.command("score")
@@ -215,7 +204,7 @@ def score_cmd(hyp_path, ref_paths, lang, tokenized, lowercase):
     except BitextError as exc:
         _fail(str(exc), 2)
     _echo_json(
-        _with_provenance(
+        with_provenance(
             report.to_dict(),
             {"hyp": hyp_path, "refs": list(ref_paths), "lang": lang, "tokenized": tokenized, "lowercase": lowercase},
         )
@@ -235,29 +224,9 @@ def cognates_cmd(src_path, ref_path, sys_path, threshold, min_len, dump_path, wo
     """Extract cognates between source and reference; optionally measure
     how many a system output preserves. Inputs must be tokenized."""
     try:
-        with open(src_path, "r", encoding="utf-8") as fh:
-            src_lines = fh.read().splitlines()
-        with open(ref_path, "r", encoding="utf-8") as fh:
-            ref_lines = fh.read().splitlines()
-        if len(src_lines) != len(ref_lines):
-            _fail(f"line counts differ: {len(src_lines)} vs {len(ref_lines)}", 2)
-        pairs = [SentencePair(i, s, r, "src", "ref") for i, (s, r) in enumerate(zip(src_lines, ref_lines))]
-        found = extract_cognates(pairs, threshold=threshold, min_len=min_len, workers=workers)
-        examined = count_examined(pairs, min_len)
-        if sys_path:
-            with open(sys_path, "r", encoding="utf-8") as fh:
-                sys_tokens = [line.split() for line in fh.read().splitlines()]
-            report = preservation(found, sys_tokens, threshold=threshold, examined=examined)
-            body = report.to_dict()
-        else:
-            body = {
-                "pairs_examined": examined,
-                "cognate_pairs": len(found),
-                "cognate_rate": (len(found) / examined) if examined else 0.0,
-                "preserved": None,
-                "preservation_rate": None,
-                "threshold": threshold,
-            }
+        pairs = list(read_parallel(src_path, ref_path, "src", "ref"))
+        sys_tokens = [line.split() for line in read_lines(sys_path)] if sys_path else None
+        found, body = cognate_report(pairs, sys_tokens, threshold, min_len, workers)
     except BitextError as exc:
         _fail(str(exc), 2)
     if dump_path:
@@ -269,10 +238,7 @@ def cognates_cmd(src_path, ref_path, sys_path, threshold, min_len, dump_path, wo
                     f"\t{c.normalized_distance:.6f}\t{c.source_position}\t{c.target_position}\n"
                 )
     _echo_json(
-        _with_provenance(
-            body,
-            {"src": src_path, "ref": ref_path, "sys": sys_path, "threshold": threshold, "min_len": min_len},
-        )
+        with_provenance(body, {"src": src_path, "ref": ref_path, "sys": sys_path, "threshold": threshold, "min_len": min_len})
     )
 
 
@@ -289,7 +255,7 @@ def pipeline_cmd(config_path, overrides):
         override_map[key.strip()] = value.strip()
     try:
         config, errors = validate_config(config_path, overrides=override_map)
-    except ConfigParseError as exc:
+    except BitextError as exc:
         _fail(str(exc), 1)
     if errors:
         for err in errors:

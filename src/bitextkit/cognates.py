@@ -22,9 +22,10 @@ DEFAULT_THRESHOLD = 0.3
 DEFAULT_MIN_LEN = 4
 
 
-def levenshtein(a: str, b: str) -> int:
-    """Minimum single-character insertions, deletions, and substitutions
-    turning ``a`` into ``b``, over Unicode scalar values."""
+def levenshtein(a: Sequence, b: Sequence) -> int:
+    """Minimum single-element insertions, deletions, and substitutions
+    turning ``a`` into ``b`` (single-row DP): over Unicode scalar values for
+    strings, over words for token lists as in TER."""
     if a == b:
         return 0
     if not a:

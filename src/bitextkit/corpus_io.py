@@ -1,14 +1,19 @@
 """Line-aligned parallel corpus I/O (two-file and TSV formats) and corpus statistics.
 
 The two-file format pairs line i of the source file with line i of the
-target file. Files are UTF-8; lines are written LF-terminated. On read,
-a trailing CR is stripped so CRLF corpora round-trip to the LF convention.
+target file. Files are UTF-8; lines are written LF-terminated.
+
+Every line of user data that the toolkit reads, through the library, a CLI
+command or the pipeline, goes through ``decode_lines``. Only LF ends a
+line, and a trailing CR is stripped, so CRLF corpora round-trip to the LF
+convention. A lone CR, U+2028 and U+0085 stay inside the line. Invalid
+UTF-8 raises EncodingError with the byte offset of the bad data.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional
+from typing import BinaryIO, Iterable, Iterator, Optional
 
 from .exceptions import EncodingError, LineCountMismatch, MalformedRow
 
@@ -50,25 +55,31 @@ class CorpusStats:
         }
 
 
-def _iter_decoded_lines(path) -> Iterator[str]:
-    """Yield lines of a UTF-8 file with the trailing LF (and CR) stripped.
+def decode_lines(stream: BinaryIO) -> Iterator[str]:
+    """Yield the lines of a binary UTF-8 stream with the trailing LF (and CR)
+    stripped.
 
     Decoding is done per line so that an invalid byte can be reported with
-    its absolute offset in the file.
+    its absolute offset in the stream.
     """
     offset = 0
+    for raw in stream:
+        try:
+            line = raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise EncodingError(getattr(stream, "name", "<stream>"), offset + exc.start, exc.reason) from exc
+        offset += len(raw)
+        if line.endswith("\n"):
+            line = line[:-1]
+        if line.endswith("\r"):
+            line = line[:-1]
+        yield line
+
+
+def read_lines(path) -> list[str]:
+    """All lines of a UTF-8 file, split as ``decode_lines`` splits them."""
     with open(path, "rb") as fh:
-        for raw in fh:
-            try:
-                line = raw.decode("utf-8")
-            except UnicodeDecodeError as exc:
-                raise EncodingError(path, offset + exc.start, exc.reason) from exc
-            offset += len(raw)
-            if line.endswith("\n"):
-                line = line[:-1]
-            if line.endswith("\r"):
-                line = line[:-1]
-            yield line
+        return list(decode_lines(fh))
 
 
 def _count_lines(stream: Iterator[str]) -> int:
@@ -81,20 +92,21 @@ def read_parallel(source_path, target_path, src_lang: str, tgt_lang: str) -> Ite
     Raises LineCountMismatch (with both totals) when the files disagree in
     length, and EncodingError with a byte offset on invalid UTF-8.
     """
-    src_lines = _iter_decoded_lines(source_path)
-    tgt_lines = _iter_decoded_lines(target_path)
-    index = 0
-    while True:
-        src = next(src_lines, None)
-        tgt = next(tgt_lines, None)
-        if src is None and tgt is None:
-            return
-        if src is None or tgt is None:
-            n_src = index + (0 if src is None else 1 + _count_lines(src_lines))
-            n_tgt = index + (0 if tgt is None else 1 + _count_lines(tgt_lines))
-            raise LineCountMismatch(n_src, n_tgt, context=f"{source_path} / {target_path}")
-        yield SentencePair(index, src, tgt, src_lang, tgt_lang)
-        index += 1
+    with open(source_path, "rb") as src_fh, open(target_path, "rb") as tgt_fh:
+        src_lines = decode_lines(src_fh)
+        tgt_lines = decode_lines(tgt_fh)
+        index = 0
+        while True:
+            src = next(src_lines, None)
+            tgt = next(tgt_lines, None)
+            if src is None and tgt is None:
+                return
+            if src is None or tgt is None:
+                n_src = index + (0 if src is None else 1 + _count_lines(src_lines))
+                n_tgt = index + (0 if tgt is None else 1 + _count_lines(tgt_lines))
+                raise LineCountMismatch(n_src, n_tgt, context=f"{source_path} / {target_path}")
+            yield SentencePair(index, src, tgt, src_lang, tgt_lang)
+            index += 1
 
 
 def read_tsv(path, src_lang: str, tgt_lang: str) -> Iterator[SentencePair]:
@@ -102,12 +114,13 @@ def read_tsv(path, src_lang: str, tgt_lang: str) -> Iterator[SentencePair]:
 
     Raises MalformedRow for a line with zero or more than one TAB.
     """
-    for index, line in enumerate(_iter_decoded_lines(path)):
-        tabs = line.count("\t")
-        if tabs != 1:
-            raise MalformedRow(index, tabs)
-        source, target = line.split("\t")
-        yield SentencePair(index, source, target, src_lang, tgt_lang)
+    with open(path, "rb") as fh:
+        for index, line in enumerate(decode_lines(fh)):
+            tabs = line.count("\t")
+            if tabs != 1:
+                raise MalformedRow(index, tabs)
+            source, target = line.split("\t")
+            yield SentencePair(index, source, target, src_lang, tgt_lang)
 
 
 def _check_writable(pair: SentencePair, forbid_tab: bool = False) -> None:
@@ -153,14 +166,12 @@ def write_tsv(pairs: Iterable[SentencePair], path) -> int:
     return count
 
 
-def corpus_stats(pairs: Iterable[SentencePair], tokenized: bool = False) -> CorpusStats:
+def corpus_stats(pairs: Iterable[SentencePair]) -> CorpusStats:
     """Count sentences, whitespace-delimited words, and corpus-global TTR.
 
-    Words are maximal runs of non-whitespace. The ``tokenized`` flag records
-    whether the input has been tokenized upstream; the splitting rule is the
-    same either way, so already-tokenized text is counted token by token.
+    Words are maximal runs of non-whitespace, so already-tokenized text is
+    counted token by token.
     """
-    del tokenized
     sentences = 0
     total_src = total_tgt = 0
     types_src: set[str] = set()

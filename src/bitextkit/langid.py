@@ -184,11 +184,6 @@ def scores(model: LangIdModel, text: str) -> np.ndarray:
     return model.log_prior + ev
 
 
-def predict_language(model: LangIdModel, text: str) -> str:
-    """Argmax language only; the fast path for bulk cleaning."""
-    return model.languages[int(np.argmax(scores(model, text)))]
-
-
 def log_posteriors(model: LangIdModel, text: str) -> np.ndarray:
     """Log of the softmax-normalized per-language posterior."""
     raw = scores(model, text)

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from ..corpus_io import _iter_decoded_lines
+from ..corpus_io import read_lines
 from ..exceptions import EmptyCorpus, LineCountMismatch
 from ..tokenizer import resolve_rules, tokenize
 from .bleu import BleuScore, bleu_corpus
@@ -60,20 +60,15 @@ def score_corpus(
     references: Sequence[Sequence[Sequence[str]]],
     alpha: float = DEFAULT_ALPHA,
     beta: float = DEFAULT_BETA,
-    ter_shifts: bool = True,
     ter_max_shift_size: int = 10,
 ) -> MetricReport:
     """Score pre-tokenized segments (``references[i]`` is a list of refs)."""
     return MetricReport(
         bleu=bleu_corpus(hypotheses, references),
         ribes=ribes_corpus(hypotheses, references, alpha=alpha, beta=beta),
-        ter=ter_corpus(hypotheses, references, shifts=ter_shifts, max_shift_size=ter_max_shift_size),
+        ter=ter_corpus(hypotheses, references, max_shift_size=ter_max_shift_size),
         ter_max_shift_size=ter_max_shift_size,
     )
-
-
-def _load_lines(path) -> list:
-    return list(_iter_decoded_lines(path))
 
 
 def score_report(
@@ -94,10 +89,10 @@ def score_report(
     """
     if isinstance(ref_paths, (str, bytes)) or hasattr(ref_paths, "__fspath__"):
         ref_paths = [ref_paths]
-    hyp_lines = _load_lines(hyp_path)
+    hyp_lines = read_lines(hyp_path)
     ref_corpora = []
     for ref_path in ref_paths:
-        ref_lines = _load_lines(ref_path)
+        ref_lines = read_lines(ref_path)
         if len(ref_lines) != len(hyp_lines):
             raise LineCountMismatch(
                 len(hyp_lines), len(ref_lines), context=f"{hyp_path} / {ref_path}"

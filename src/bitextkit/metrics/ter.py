@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
+from ..cognates import levenshtein
 from ..exceptions import EmptyCorpus, LineCountMismatch
 
 DEFAULT_MAX_SHIFT_SIZE = 10
@@ -51,19 +52,6 @@ class TerScore:
 
     def to_dict(self) -> dict:
         return {"ter": self.ter, "edits": self.edits.to_dict(), "ref_len": self.ref_len}
-
-
-def _edit_distance(hyp: Tokens, ref: Tokens) -> int:
-    """Word-level Levenshtein distance (single-row DP)."""
-    if hyp == ref:
-        return 0
-    prev = list(range(len(ref) + 1))
-    for i, h in enumerate(hyp, start=1):
-        cur = [i] + [0] * len(ref)
-        for j, r in enumerate(ref, start=1):
-            cur[j] = min(prev[j - 1] + (h != r), prev[j] + 1, cur[j - 1] + 1)
-        prev = cur
-    return prev[-1]
 
 
 def _edit_breakdown(hyp: Tokens, ref: Tokens) -> tuple[int, int, int]:
@@ -124,7 +112,7 @@ def _best_shift(hyp: list, ref: Tokens, max_shift_size: int) -> tuple[int, list]
                 if key in seen:
                     continue
                 seen.add(key)
-                dist = _edit_distance(candidate, ref)
+                dist = levenshtein(candidate, ref)
                 if best_dist is None or dist < best_dist:
                     best_dist = dist
                     best_hyp = candidate
@@ -137,7 +125,7 @@ def _edits_against(hyp: Tokens, ref: Tokens, shifts: bool, max_shift_size: int) 
     current = list(hyp)
     n_shifts = 0
     if shifts:
-        current_dist = _edit_distance(current, ref)
+        current_dist = levenshtein(current, ref)
         while current_dist > 0:
             found = _best_shift(current, ref, max_shift_size)
             if found is None or found[0] >= current_dist:

@@ -10,12 +10,13 @@ from __future__ import annotations
 import multiprocessing
 from typing import Callable, Sequence
 
+_CHUNKSIZE = 256
+
 
 def parallel_map(
     fn: Callable,
     items: Sequence,
     workers: int = 1,
-    chunksize: int = 256,
     initializer: Callable | None = None,
     initargs: tuple = (),
 ) -> list:
@@ -25,4 +26,4 @@ def parallel_map(
             initializer(*initargs)
         return [fn(item) for item in items]
     with multiprocessing.Pool(workers, initializer=initializer, initargs=initargs) as pool:
-        return list(pool.imap(fn, items, chunksize=chunksize))
+        return list(pool.imap(fn, items, chunksize=_CHUNKSIZE))

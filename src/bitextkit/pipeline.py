@@ -7,7 +7,9 @@ environment variables, then explicit overrides (the command line). The
 ``eval`` task runs detokenize -> score -> cognates over system output.
 Every stage writes a JSON report carrying the tool version and an echo of
 the effective config; a manifest records stage order and input/output
-hashes.
+hashes. The CLI subcommands run the same stage bodies (``clean_and_write``,
+``cognate_report``) and stamp their reports with the same
+``with_provenance``.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import hashlib
 import json
 import os
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Optional
@@ -23,11 +26,11 @@ from typing import Optional
 from . import __version__
 from .cleaner import clean
 from .cognates import count_examined, extract_cognates, preservation
-from .corpus_io import SentencePair, corpus_stats, read_parallel, write_parallel
+from .corpus_io import SentencePair, corpus_stats, read_lines, read_parallel, write_parallel
 from .exceptions import BitextError
 from .langid import load_model
 from .metrics import score_report
-from .tokenizer import detokenize, resolve_rules, tokenize
+from .tokenizer import TokenizerRules, detokenize, resolve_rules, tokenize
 
 ENV_PREFIX = "BITEXTKIT_"
 
@@ -75,19 +78,18 @@ _BOOL_VALUES = {"true": True, "yes": True, "1": True, "false": False, "no": Fals
 def parse_config_file(path) -> dict:
     """Parse ``key = value`` lines; raises ConfigParseError with position."""
     values = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].rstrip()
-            if not line.strip():
-                continue
-            if "=" not in line:
-                col = len(line) - len(line.lstrip()) + 1
-                raise ConfigParseError(path, lineno, col, "expected 'key = value'")
-            key, _, value = line.partition("=")
-            key = key.strip()
-            if not key:
-                raise ConfigParseError(path, lineno, 1, "empty key")
-            values[key] = value.strip()
+    for lineno, raw in enumerate(read_lines(path), start=1):
+        line = raw.split("#", 1)[0].rstrip()
+        if not line.strip():
+            continue
+        if "=" not in line:
+            col = len(line) - len(line.lstrip()) + 1
+            raise ConfigParseError(path, lineno, col, "expected 'key = value'")
+        key, _, value = line.partition("=")
+        key = key.strip()
+        if not key:
+            raise ConfigParseError(path, lineno, 1, "empty key")
+        values[key] = value.strip()
     return values
 
 
@@ -189,7 +191,8 @@ def _sha256(path) -> str:
     return digest.hexdigest()
 
 
-def _dump_json(path, payload: dict) -> None:
+def dump_json(path, payload: dict) -> None:
+    """Write ``payload`` as indented JSON with sorted keys and a final LF."""
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -210,7 +213,7 @@ class _Manifest:
         )
 
     def write(self, path) -> None:
-        _dump_json(
+        dump_json(
             path,
             {
                 "tool_version": __version__,
@@ -221,11 +224,18 @@ class _Manifest:
         )
 
 
-def _report_payload(config: PipelineConfig, body: dict) -> dict:
+def with_provenance(body: dict, config_echo: dict) -> dict:
+    """A report body stamped with the tool version and an echo of the
+    effective configuration that produced it."""
     payload = dict(body)
     payload["tool_version"] = __version__
-    payload["config_echo"] = config.to_dict()
+    payload["config_echo"] = config_echo
     return payload
+
+
+def _write_report(path: Path, config: PipelineConfig, body: dict) -> Path:
+    dump_json(path, with_provenance(body, config.to_dict()))
+    return path
 
 
 class StageFailure(BitextError):
@@ -235,106 +245,120 @@ class StageFailure(BitextError):
         super().__init__(f"stage {stage!r} failed: {cause}")
 
 
-def _run_prep(config: PipelineConfig, out: Path, manifest: _Manifest) -> None:
-    stage = "stats_before"
+@contextmanager
+def _stage(name: str):
     try:
-        pairs = list(read_parallel(config.source, config.target, config.src_lang, config.tgt_lang))
-        stats = corpus_stats(pairs)
-        report_path = out / "stats_before.json"
-        _dump_json(report_path, _report_payload(config, stats.to_dict()))
-        manifest.record(stage, [config.source, config.target], [report_path])
+        yield
     except Exception as exc:
-        raise StageFailure(stage, exc) from exc
+        raise StageFailure(name, exc) from exc
 
-    stage = "clean"
+
+def clean_and_write(
+    pairs: list, model_path, mode: str, workers: int, out_src, out_tgt, keep_decisions=False, include_decisions=False
+) -> tuple[list, dict, Optional[list]]:
+    """Clean ``pairs`` with the langid model at ``model_path`` and write the
+    kept pairs to ``out_src`` / ``out_tgt``. With ``model_path`` None every
+    pair is kept (the no-clean pass-through).
+
+    Returns the kept pairs, the cleaning report body, and the per-pair
+    decisions (None unless ``keep_decisions`` or ``include_decisions``;
+    the latter also puts them in the body).
+    """
+    if model_path is None:
+        kept, decisions = pairs, None
+        body = {"total": len(pairs), "kept": len(pairs), "removed_by_reason": {}, "cleaning": "disabled"}
+    else:
+        model = load_model(model_path)
+        result = clean(pairs, model, mode=mode, workers=workers, keep_decisions=keep_decisions or include_decisions)
+        kept, decisions = result.kept, result.report.decisions
+        body = result.report.to_dict(include_decisions=include_decisions)
+    write_parallel(kept, out_src, out_tgt)
+    return kept, body, decisions
+
+
+def cognate_report(
+    pairs: list, system_tokens: Optional[list], threshold: float, min_len: int, workers: int
+) -> tuple[list, dict]:
+    """Cognates between the two sides of tokenized ``pairs``, and the report
+    body.
+
+    With ``system_tokens`` (one token list per pair) the body measures how
+    many cognates the system output preserves; without, its ``preserved``
+    and ``preservation_rate`` are None.
+    """
+    found = extract_cognates(pairs, threshold=threshold, min_len=min_len, workers=workers)
+    examined = count_examined(pairs, min_len)
+    if system_tokens is None:
+        return found, {
+            "pairs_examined": examined,
+            "cognate_pairs": len(found),
+            "cognate_rate": (len(found) / examined) if examined else 0.0,
+            "preserved": None,
+            "preservation_rate": None,
+            "threshold": threshold,
+        }
+    return found, preservation(found, system_tokens, threshold=threshold, examined=examined).to_dict()
+
+
+def _tokenized(pairs, rules_src: TokenizerRules, rules_tgt: TokenizerRules) -> list:
+    return [
+        SentencePair(
+            p.index,
+            " ".join(tokenize(p.source, rules_src)),
+            " ".join(tokenize(p.target, rules_tgt)),
+            p.src_lang,
+            p.tgt_lang,
+        )
+        for p in pairs
+    ]
+
+
+def _run_prep(config: PipelineConfig, out: Path, manifest: _Manifest) -> None:
+    with _stage("stats_before"):
+        pairs = list(read_parallel(config.source, config.target, config.src_lang, config.tgt_lang))
+        report_path = _write_report(out / "stats_before.json", config, corpus_stats(pairs).to_dict())
+        manifest.record("stats_before", [config.source, config.target], [report_path])
+
     cleaned_src = out / f"cleaned.{config.src_lang}"
     cleaned_tgt = out / f"cleaned.{config.tgt_lang}"
-    try:
-        if config.clean_enabled:
-            model = load_model(config.model)
-            result = clean(pairs, model, mode=config.clean_mode, workers=config.workers)
-            kept = result.kept
-            body = result.report.to_dict()
-        else:
-            kept = pairs
-            body = {"total": len(pairs), "kept": len(pairs), "removed_by_reason": {}, "cleaning": "disabled"}
-        write_parallel(kept, cleaned_src, cleaned_tgt)
-        report_path = out / "cleaning_report.json"
-        _dump_json(report_path, _report_payload(config, body))
-        inputs = [config.source, config.target] + ([config.model] if config.clean_enabled else [])
-        manifest.record(stage, inputs, [cleaned_src, cleaned_tgt, report_path])
-    except Exception as exc:
-        raise StageFailure(stage, exc) from exc
+    with _stage("clean"):
+        model_path = config.model if config.clean_enabled else None
+        kept, body, _ = clean_and_write(pairs, model_path, config.clean_mode, config.workers, cleaned_src, cleaned_tgt)
+        report_path = _write_report(out / "cleaning_report.json", config, body)
+        inputs = [config.source, config.target] + ([model_path] if model_path else [])
+        manifest.record("clean", inputs, [cleaned_src, cleaned_tgt, report_path])
 
-    stage = "stats_after"
-    try:
-        kept_pairs = kept
-        stats = corpus_stats(kept_pairs)
-        report_path = out / "stats_after.json"
-        _dump_json(report_path, _report_payload(config, stats.to_dict()))
-        manifest.record(stage, [cleaned_src, cleaned_tgt], [report_path])
-    except Exception as exc:
-        raise StageFailure(stage, exc) from exc
+    with _stage("stats_after"):
+        report_path = _write_report(out / "stats_after.json", config, corpus_stats(kept).to_dict())
+        manifest.record("stats_after", [cleaned_src, cleaned_tgt], [report_path])
 
     if not config.tokenize_output:
         return
-    stage = "tokenize"
-    try:
+    with _stage("tokenize"):
         rules_src = resolve_rules(config.src_lang, config.tgt_lang)
         rules_tgt = resolve_rules(config.tgt_lang, config.src_lang)
         tokenized_src = out / f"tokenized.{config.src_lang}"
         tokenized_tgt = out / f"tokenized.{config.tgt_lang}"
-        tokenized = [
-            SentencePair(
-                p.index,
-                " ".join(tokenize(p.source, rules_src)),
-                " ".join(tokenize(p.target, rules_tgt)),
-                p.src_lang,
-                p.tgt_lang,
-            )
-            for p in kept_pairs
-        ]
+        tokenized = _tokenized(kept, rules_src, rules_tgt)
         write_parallel(tokenized, tokenized_src, tokenized_tgt)
-        report_path = out / "tokenize_report.json"
-        _dump_json(
-            report_path,
-            _report_payload(
-                config,
-                {
-                    "lines": len(tokenized),
-                    "source_rules": rules_src.lang,
-                    "target_rules": rules_tgt.lang,
-                },
-            ),
-        )
-        manifest.record(stage, [cleaned_src, cleaned_tgt], [tokenized_src, tokenized_tgt, report_path])
-    except Exception as exc:
-        raise StageFailure(stage, exc) from exc
-
-
-def _read_lines(path) -> list:
-    with open(path, "r", encoding="utf-8") as fh:
-        return [line.rstrip("\n").rstrip("\r") for line in fh]
+        body = {"lines": len(tokenized), "source_rules": rules_src.lang, "target_rules": rules_tgt.lang}
+        report_path = _write_report(out / "tokenize_report.json", config, body)
+        manifest.record("tokenize", [cleaned_src, cleaned_tgt], [tokenized_src, tokenized_tgt, report_path])
 
 
 def _run_eval(config: PipelineConfig, out: Path, manifest: _Manifest) -> None:
     rules = resolve_rules(config.lang, config.src_lang)
 
-    stage = "detokenize"
     detok_path = out / "detokenized.hyp"
-    try:
-        hyp_lines = _read_lines(config.hyp)
+    with _stage("detokenize"):
+        hyp_lines = read_lines(config.hyp)
         with open(detok_path, "w", encoding="utf-8", newline="") as fh:
             for line in hyp_lines:
                 fh.write(detokenize(line.split(), rules) + "\n")
-        report_path = out / "detokenize_report.json"
-        _dump_json(report_path, _report_payload(config, {"lines": len(hyp_lines), "rules": rules.lang}))
-        manifest.record(stage, [config.hyp], [detok_path, report_path])
-    except Exception as exc:
-        raise StageFailure(stage, exc) from exc
+        report_path = _write_report(out / "detokenize_report.json", config, {"lines": len(hyp_lines), "rules": rules.lang})
+        manifest.record("detokenize", [config.hyp], [detok_path, report_path])
 
-    stage = "score"
-    try:
+    with _stage("score"):
         report = score_report(
             detok_path,
             [config.ref],
@@ -342,52 +366,17 @@ def _run_eval(config: PipelineConfig, out: Path, manifest: _Manifest) -> None:
             tokenized_input=False,
             lowercase=config.lowercase,
         )
-        report_path = out / "score.json"
-        _dump_json(report_path, _report_payload(config, report.to_dict()))
-        manifest.record(stage, [detok_path, config.ref], [report_path])
-    except Exception as exc:
-        raise StageFailure(stage, exc) from exc
+        report_path = _write_report(out / "score.json", config, report.to_dict())
+        manifest.record("score", [detok_path, config.ref], [report_path])
 
-    stage = "cognates"
-    try:
+    # the score stage has checked that system output and reference align
+    with _stage("cognates"):
         src_rules = resolve_rules(config.src_lang, config.lang)
-        src_lines = _read_lines(config.source)
-        ref_lines = _read_lines(config.ref)
-        sys_lines = _read_lines(detok_path)
-        if not (len(src_lines) == len(ref_lines) == len(sys_lines)):
-            raise BitextError(
-                f"source/ref/system line counts differ: {len(src_lines)}/{len(ref_lines)}/{len(sys_lines)}"
-            )
-        pairs = [
-            SentencePair(
-                i,
-                " ".join(tokenize(src, src_rules)),
-                " ".join(tokenize(ref, rules)),
-                config.src_lang,
-                config.lang,
-            )
-            for i, (src, ref) in enumerate(zip(src_lines, ref_lines))
-        ]
-        cognates = extract_cognates(
-            pairs,
-            threshold=config.cognate_threshold,
-            min_len=config.cognate_min_len,
-            workers=config.workers,
-        )
-        system_tokens = [tokenize(line, rules) for line in sys_lines]
-        report = preservation(
-            cognates,
-            system_tokens,
-            threshold=config.cognate_threshold,
-            examined=count_examined(pairs, config.cognate_min_len),
-        )
-        report_path = out / "cognates.json"
-        _dump_json(report_path, _report_payload(config, report.to_dict()))
-        manifest.record(stage, [config.source, config.ref, detok_path], [report_path])
-    except StageFailure:
-        raise
-    except Exception as exc:
-        raise StageFailure(stage, exc) from exc
+        pairs = _tokenized(read_parallel(config.source, config.ref, config.src_lang, config.lang), src_rules, rules)
+        system_tokens = [tokenize(line, rules) for line in read_lines(detok_path)]
+        _, body = cognate_report(pairs, system_tokens, config.cognate_threshold, config.cognate_min_len, config.workers)
+        report_path = _write_report(out / "cognates.json", config, body)
+        manifest.record("cognates", [config.source, config.ref, detok_path], [report_path])
 
 
 def run_pipeline(config: PipelineConfig) -> None:

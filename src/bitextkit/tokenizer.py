@@ -267,11 +267,6 @@ def detokenize(tokens, rules: TokenizerRules) -> str:
     return text
 
 
-def tokenize_line(text: str, rules: TokenizerRules) -> str:
-    """Tokenize and render as a single space-joined line."""
-    return " ".join(tokenize(text, rules))
-
-
 def neutral_rules(lang: str = "neutral") -> TokenizerRules:
     """Language-neutral rules: no prefixes, isolating apostrophes."""
     return TokenizerRules(lang)

@@ -64,6 +64,15 @@ def test_stats_tsv_input(runner, tmp_path):
     assert payload["word_count_source"] == 3
 
 
+def test_langid_train_reports_invalid_utf8_offset(runner, tmp_path, corpus):
+    src, _ = corpus
+    bad = tmp_path / "bad.ca"
+    bad.write_bytes(b"hola amigos\n\xffmal\n")
+    result = runner.invoke(cli, ["langid-train", "--seed", f"es={src}", "--seed", f"ca={bad}", "--out", str(tmp_path / "m.lidm")])
+    assert result.exit_code == 1
+    assert "invalid UTF-8 at byte offset 12" in result.output
+
+
 def test_langid_train_and_classify(runner, tmp_path, corpus):
     src, tgt = corpus
     out = tmp_path / "tiny.lidm"
@@ -160,6 +169,21 @@ def test_tokenize_detokenize_round_trip(runner):
     assert back.stdout == text
 
 
+@pytest.mark.parametrize("command", ["tokenize", "detokenize"])
+@pytest.mark.parametrize("inner", ["\r", "\u2028", "\x85"])
+def test_one_output_line_per_lf_terminated_input_line(runner, command, inner):
+    result = runner.invoke(cli, [command, "--lang", "ca"], input=f"el gat{inner}dorm\nla casa\r\n".encode("utf-8"))
+    assert result.exit_code == 0, result.output
+    assert result.stdout.count("\n") == 2
+    assert result.stdout.endswith("la casa\n")
+
+
+def test_tokenize_reports_invalid_utf8_offset(runner):
+    result = runner.invoke(cli, ["tokenize", "--lang", "ca"], input=b"la casa\nel \xff gat\n")
+    assert result.exit_code == 2
+    assert "invalid UTF-8 at byte offset 11" in result.output
+
+
 def test_tokenize_fallback_option(runner):
     result = runner.invoke(cli, ["tokenize", "--lang", "bm", "--fallback-of", "fr"], input="C'est l'agent.\n")
     assert result.stdout == "C' est l' agent .\n"
@@ -234,6 +258,27 @@ def test_cognates_without_system_output(runner, tmp_path):
     payload = json.loads(result.stdout)
     assert payload["preserved"] is None
     assert payload["cognate_pairs"] == 2
+
+
+@pytest.mark.parametrize("src_inner, ref_inner", [("\u2028", " "), (" ", "\x85"), ("\u2028", "\x85"), ("\x85", "\u2028")])
+def test_cognates_keeps_unicode_line_separators_inside_lines(runner, tmp_path, src_inner, ref_inner):
+    """U+2028 and U+0085 are whitespace to the word split but never end a
+    line: the result is the one for a plain space, on 2 aligned pairs."""
+
+    def run(src_sep, ref_sep, name):
+        src, ref, dump = tmp_path / f"{name}.src", tmp_path / f"{name}.ref", tmp_path / f"{name}.tsv"
+        src.write_text(f"una contribució{src_sep}financera\nla biblioteca pública municipal\n", encoding="utf-8")
+        ref.write_text(f"una contribución financiera\nla biblioteca{ref_sep}pública municipal\n", encoding="utf-8")
+        result = runner.invoke(cli, ["cognates", "--src", str(src), "--ref", str(ref), "--sys", str(ref), "--dump", str(dump)])
+        assert result.exit_code == 0, result.output
+        return json.loads(result.stdout), dump.read_text(encoding="utf-8")
+
+    payload, dump = run(src_inner, ref_inner, "inner")
+    plain_payload, plain_dump = run(" ", " ", "plain")
+    assert [line.split("\t")[0] for line in dump.splitlines()[1:]] == ["0", "0", "1", "1", "1"]
+    assert dump == plain_dump
+    for key in ("pairs_examined", "cognate_pairs", "preserved"):
+        assert payload[key] == plain_payload[key]
 
 
 def test_help_lists_all_subcommands(runner):

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from bitextkit.corpus_io import (
     SentencePair,
     corpus_stats,
+    read_lines,
     read_parallel,
     read_tsv,
     write_parallel,
@@ -44,6 +45,14 @@ class TestReadParallel:
         with pytest.raises(EncodingError) as err:
             list(read_parallel(tmp_path / "a.src", tmp_path / "a.tgt", "es", "ca"))
         assert err.value.byte_offset == 5
+
+    @pytest.mark.parametrize("inner", ["\r", "\u2028", "\x85"])
+    def test_only_lf_ends_a_line(self, tmp_path, inner):
+        (tmp_path / "a.src").write_text(f"uno{inner}dos\ntres\r\n", encoding="utf-8", newline="")
+        (tmp_path / "a.tgt").write_text("un\ntrois\n", encoding="utf-8")
+        pairs = list(read_parallel(tmp_path / "a.src", tmp_path / "a.tgt", "es", "fr"))
+        assert [p.source for p in pairs] == [f"uno{inner}dos", "tres"]
+        assert read_lines(tmp_path / "a.src") == [p.source for p in pairs]
 
     def test_missing_trailing_newline(self, tmp_path):
         (tmp_path / "a.src").write_text("uno\ndos", encoding="utf-8")

@@ -239,6 +239,22 @@ class TestRunPipeline:
         assert detok == PROSE_CA
 
 
+    def test_eval_hyp_with_lone_cr_keeps_alignment(self, tmp_path):
+        src = tmp_path / "src.es"
+        ref = tmp_path / "ref.ca"
+        hyp = tmp_path / "hyp.ca"
+        src.write_text("el gato negro duerme\nla casa\n", encoding="utf-8")
+        ref.write_text("el gat negre dorm\nla casa\n", encoding="utf-8")
+        hyp.write_bytes(b"el gat negre\rdorm\nla casa\n")
+        out = tmp_path / "eval_out"
+        overrides = {"task": "eval", "src_lang": "es", "tgt_lang": "ca", "source": src, "ref": ref, "hyp": hyp, "out_dir": out}
+        config, errors = validate_config(overrides=overrides, env={})
+        assert errors == []
+        run_pipeline(config)
+        assert (out / "detokenized.hyp").read_bytes().count(b"\n") == 2
+        assert json.loads((out / "cognates.json").read_text(encoding="utf-8"))["pairs_examined"] == 4
+
+
 class TestPipelineCli:
     def test_validation_error_exit_1(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
@@ -253,6 +269,13 @@ class TestPipelineCli:
         runner = CliRunner()
         result = runner.invoke(cli, ["pipeline", "--config", str(cfg)])
         assert result.exit_code == 1
+
+    def test_invalid_utf8_config_exit_1_with_offset(self, tmp_path):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes(b"task = prep\n\xff\n")
+        result = CliRunner().invoke(cli, ["pipeline", "--config", str(cfg)])
+        assert result.exit_code == 1
+        assert "invalid UTF-8 at byte offset 12" in result.output
 
     def test_stage_failure_exit_2(self, tmp_path, fixture_model):
         src, tgt = write_corpus(tmp_path)
