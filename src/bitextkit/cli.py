@@ -216,7 +216,7 @@ def score_cmd(hyp_path, ref_paths, lang, tokenized, lowercase):
 @click.option("--src", "src_path", required=True, type=click.Path(exists=True, dir_okay=False))
 @click.option("--ref", "ref_path", required=True, type=click.Path(exists=True, dir_okay=False))
 @click.option("--sys", "sys_path", type=click.Path(exists=True, dir_okay=False), help="System output to measure preservation on.")
-@click.option("--threshold", default=0.3, show_default=True)
+@click.option("--threshold", type=click.FloatRange(0, 1, min_open=True), default=0.3, show_default=True)
 @click.option("--min-len", default=4, show_default=True)
 @click.option("--dump", "dump_path", type=click.Path(dir_okay=False), help="Also write extracted pairs as TSV here.")
 @click.option("--workers", default=1, show_default=True)

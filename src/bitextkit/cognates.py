@@ -22,23 +22,61 @@ DEFAULT_THRESHOLD = 0.3
 DEFAULT_MIN_LEN = 4
 
 
+def edit_state(ref: Sequence) -> tuple:
+    """The resumable form of ``levenshtein`` against a fixed ``ref``.
+
+    Returns ``(ctx, column)``: ``ctx`` holds one bit mask per symbol of
+    ``ref`` (bit i set where ``ref[i]`` is that symbol), and ``column`` is
+    the DP column of the empty prefix as ``(vp, vn, score)``: the bits where
+    the column steps up and down by one between adjacent reference
+    positions, and the distance to the whole of ``ref``. Pass both to
+    ``advance``.
+    """
+    masks: dict = {}
+    for i, sym in enumerate(ref):
+        masks[sym] = masks.get(sym, 0) | (1 << i)
+    m = len(ref)
+    top = (1 << m) - 1
+    return (masks, top, 1 << (m - 1) if m else 0), (top, 0, m)
+
+
+def advance(ctx: tuple, column: tuple, items: Sequence) -> tuple:
+    """The ``(vp, vn, score)`` column after ``items`` are appended to the
+    prefix that ``column`` stands for; ``score`` is then the edit distance
+    from that longer prefix to the reference of ``ctx``.
+
+    This is Myers' bit-vector algorithm (1999) in Hyyrö's global form
+    (2001): one step per item, a few integer operations over the whole
+    column, exactly equal to the row-by-row DP.
+    """
+    masks, top, high = ctx
+    vp, vn, score = column
+    if not high:  # empty reference: each item costs one edit
+        return vp, vn, score + len(items)
+    for item in items:
+        eq = masks.get(item, 0)
+        xv = eq | vn
+        xh = (((eq & vp) + vp) ^ vp) | eq
+        ph = vn | ~(xh | vp)
+        mh = vp & xh
+        if ph & high:
+            score += 1
+        elif mh & high:
+            score -= 1
+        ph = (ph << 1) | 1
+        vp = ((mh << 1) | ~(xv | ph)) & top
+        vn = ph & xv
+    return vp, vn, score
+
+
 def levenshtein(a: Sequence, b: Sequence) -> int:
     """Minimum single-element insertions, deletions, and substitutions
-    turning ``a`` into ``b`` (single-row DP): over Unicode scalar values for
-    strings, over words for token lists as in TER."""
+    turning ``a`` into ``b``: over Unicode scalar values for strings, over
+    words for token lists as in TER."""
     if a == b:
         return 0
-    if not a:
-        return len(b)
-    if not b:
-        return len(a)
-    prev = list(range(len(b) + 1))
-    for i, ch_a in enumerate(a, start=1):
-        cur = [i] + [0] * len(b)
-        for j, ch_b in enumerate(b, start=1):
-            cur[j] = min(prev[j - 1] + (ch_a != ch_b), prev[j] + 1, cur[j - 1] + 1)
-        prev = cur
-    return prev[-1]
+    ctx, column = edit_state(b)
+    return advance(ctx, column, a)[2]
 
 
 def normalized_distance(a: str, b: str) -> float:
@@ -108,16 +146,18 @@ def _sentence_cognates(args) -> tuple[list, int]:
 
     candidates = []
     for i in eligible:
+        src_norm = norm_src[i]
         for j, tgt_norm in enumerate(norm_tgt):
-            nd = normalized_distance(norm_src[i], tgt_norm)
+            dist = levenshtein(src_norm, tgt_norm)
+            nd = dist / max(len(src_norm), len(tgt_norm))
             if nd <= threshold:
-                candidates.append((nd, i, j))
+                candidates.append((nd, i, j, dist))
     # one-to-one greedy matching by ascending distance, ties by position
     candidates.sort()
     used_src: set = set()
     used_tgt: set = set()
     found = []
-    for nd, i, j in candidates:
+    for nd, i, j, dist in candidates:
         if i in used_src or j in used_tgt:
             continue
         used_src.add(i)
@@ -126,7 +166,7 @@ def _sentence_cognates(args) -> tuple[list, int]:
             CognatePair(
                 source_word=src_tokens[i],
                 target_word=tgt_tokens[j],
-                distance=levenshtein(norm_src[i], norm_tgt[j]),
+                distance=dist,
                 normalized_distance=nd,
                 source_sentence_index=index,
                 source_position=i,

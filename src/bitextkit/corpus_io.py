@@ -15,9 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import BinaryIO, Iterable, Iterator, Optional
 
-from .exceptions import EncodingError, LineCountMismatch, MalformedRow
-
-_LINE_BREAKS = ("\n", "\r")
+from .exceptions import EncodingError, LineCountMismatch, MalformedRow, UnwritableField
 
 
 @dataclass(frozen=True)
@@ -124,18 +122,24 @@ def read_tsv(path, src_lang: str, tgt_lang: str) -> Iterator[SentencePair]:
 
 
 def _check_writable(pair: SentencePair, forbid_tab: bool = False) -> None:
+    """Raise UnwritableField for text that ``decode_lines`` would not read
+    back unchanged: an LF anywhere, or a CR at the end (it would be taken for
+    a CRLF ending). A CR inside the text round-trips."""
     for side, text in (("source", pair.source), ("target", pair.target)):
-        if any(ch in text for ch in _LINE_BREAKS):
-            raise ValueError(f"pair {pair.index}: {side} text contains a line break")
+        if "\n" in text:
+            raise UnwritableField(pair.index, side, "contains a line feed")
+        if text.endswith("\r"):
+            raise UnwritableField(pair.index, side, "ends in a carriage return")
         if forbid_tab and "\t" in text:
-            raise ValueError(f"pair {pair.index}: {side} text contains a TAB (not representable in TSV)")
+            raise UnwritableField(pair.index, side, "contains a TAB (not representable in TSV)")
 
 
 def write_parallel(pairs: Iterable[SentencePair], source_path, target_path) -> int:
     """Write pairs to the two-file format. Returns the number of pairs written.
 
-    Line-break characters in either side are rejected: they would silently
-    break the alignment, and the read/write round-trip must be lossless.
+    Text that would not read back unchanged is rejected with UnwritableField:
+    an LF would silently break the alignment, and a trailing CR would be
+    stripped as part of a CRLF ending. A CR inside the text is kept.
     """
     count = 0
     try:
@@ -153,7 +157,8 @@ def write_parallel(pairs: Iterable[SentencePair], source_path, target_path) -> i
 
 
 def write_tsv(pairs: Iterable[SentencePair], path) -> int:
-    """Write pairs as TSV (source TAB target). TAB in a field is rejected."""
+    """Write pairs as TSV (source TAB target). Fields are checked as in
+    ``write_parallel``, and a TAB in a field is rejected too."""
     count = 0
     try:
         with open(path, "w", encoding="utf-8", newline="") as fh:

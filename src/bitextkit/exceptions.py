@@ -29,6 +29,17 @@ class EncodingError(BitextError):
         super().__init__(msg)
 
 
+class UnwritableField(BitextError, ValueError):
+    """A field cannot be written so that reading it back gives it unchanged:
+    it holds an LF, ends in a CR, or holds a TAB in TSV. It is also a
+    ValueError, so that callers catching ValueError keep working."""
+
+    def __init__(self, index: int, side: str, detail: str):
+        self.index = index
+        self.side = side
+        super().__init__(f"pair {index}: {side} text {detail}")
+
+
 class MalformedRow(BitextError):
     """A TSV row does not contain exactly one TAB separator."""
 

@@ -10,7 +10,7 @@ from ..exceptions import EmptyCorpus, LineCountMismatch
 from ..tokenizer import resolve_rules, tokenize
 from .bleu import BleuScore, bleu_corpus
 from .ribes import DEFAULT_ALPHA, DEFAULT_BETA, RibesScore, ribes_corpus
-from .ter import TerScore, ter_corpus
+from .ter import DEFAULT_MAX_SHIFT_SIZE, TerScore, ter_corpus
 
 
 @dataclass(frozen=True)
@@ -20,7 +20,7 @@ class MetricReport:
     bleu: BleuScore
     ribes: RibesScore
     ter: TerScore
-    ter_max_shift_size: int = 10
+    ter_max_shift_size: int = DEFAULT_MAX_SHIFT_SIZE
 
     def to_dict(self) -> dict:
         """Flat JSON-friendly rendering, full precision.
@@ -60,7 +60,7 @@ def score_corpus(
     references: Sequence[Sequence[Sequence[str]]],
     alpha: float = DEFAULT_ALPHA,
     beta: float = DEFAULT_BETA,
-    ter_max_shift_size: int = 10,
+    ter_max_shift_size: int = DEFAULT_MAX_SHIFT_SIZE,
 ) -> MetricReport:
     """Score pre-tokenized segments (``references[i]`` is a list of refs)."""
     return MetricReport(

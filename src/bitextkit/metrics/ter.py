@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from ..cognates import levenshtein
+from ..cognates import advance, edit_state
 from ..exceptions import EmptyCorpus, LineCountMismatch
 
 DEFAULT_MAX_SHIFT_SIZE = 10
@@ -89,30 +89,45 @@ def _edit_breakdown(hyp: Tokens, ref: Tokens) -> tuple[int, int, int]:
     return ins, dels, subs
 
 
-def _span_positions(ref: Tokens, span: Tokens) -> list[int]:
-    n = len(span)
-    return [k for k in range(len(ref) - n + 1) if list(ref[k : k + n]) == list(span)]
+def _ngram_positions(ref: Tokens, max_size: int) -> dict:
+    """Every reference n-gram of 1..``max_size`` words, mapped to its start
+    positions in ascending order."""
+    index: dict = {}
+    for size in range(1, min(max_size, len(ref)) + 1):
+        for k in range(len(ref) - size + 1):
+            index.setdefault(tuple(ref[k : k + size]), []).append(k)
+    return index
 
 
-def _best_shift(hyp: list, ref: Tokens, max_shift_size: int) -> tuple[int, list] | None:
-    """The candidate rearrangement with the lowest edit distance, or None."""
+def _best_shift(
+    hyp: tuple, ctx: tuple, start_column: tuple, index: dict, max_shift_size: int
+) -> tuple[int, tuple] | None:
+    """The candidate rearrangement with the lowest edit distance, or None.
+
+    A candidate agrees with ``hyp`` on its first ``min(start, dest)``
+    words, so its distance resumes from the cached column of that prefix.
+    """
+    columns = [start_column]
+    for word in hyp:
+        columns.append(advance(ctx, columns[-1], (word,)))
     best_dist = None
     best_hyp = None
-    seen: set[tuple] = {tuple(hyp)}
+    seen = {hyp}
     for start in range(len(hyp)):
         for size in range(1, min(max_shift_size, len(hyp) - start) + 1):
             span = hyp[start : start + size]
-            if not _span_positions(ref, span):
-                continue
+            positions = index.get(span)
+            if positions is None:
+                break  # no longer span from here is in the reference either
             remainder = hyp[:start] + hyp[start + size :]
-            for k in _span_positions(ref, span):
+            for k in positions:
                 dest = min(k, len(remainder))
                 candidate = remainder[:dest] + span + remainder[dest:]
-                key = tuple(candidate)
-                if key in seen:
+                if candidate in seen:
                     continue
-                seen.add(key)
-                dist = levenshtein(candidate, ref)
+                seen.add(candidate)
+                prefix = min(start, dest)
+                dist = advance(ctx, columns[prefix], candidate[prefix:])[2]
                 if best_dist is None or dist < best_dist:
                     best_dist = dist
                     best_hyp = candidate
@@ -122,12 +137,14 @@ def _best_shift(hyp: list, ref: Tokens, max_shift_size: int) -> tuple[int, list]
 
 
 def _edits_against(hyp: Tokens, ref: Tokens, shifts: bool, max_shift_size: int) -> EditCounts:
-    current = list(hyp)
+    current = tuple(hyp)
     n_shifts = 0
     if shifts:
-        current_dist = levenshtein(current, ref)
+        ctx, start_column = edit_state(ref)
+        current_dist = advance(ctx, start_column, current)[2]
+        index = _ngram_positions(ref, max_shift_size) if current_dist else {}
         while current_dist > 0:
-            found = _best_shift(current, ref, max_shift_size)
+            found = _best_shift(current, ctx, start_column, index, max_shift_size)
             if found is None or found[0] >= current_dist:
                 break
             current_dist, current = found

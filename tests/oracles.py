@@ -1,7 +1,8 @@
 """Independent brute-force reference implementations used to check the
 library. These deliberately share no code with the package: n-grams are
-counted by naive list scans, edit distance by a full DP matrix, rank
-correlation by all-pairs counting, and Levenshtein by plain recursion.
+counted by naive list scans, edit distance by a full DP matrix (TER's
+greedy shift search rescores every candidate with one), rank correlation
+by all-pairs counting, and Levenshtein by plain recursion.
 """
 
 import math
@@ -49,8 +50,7 @@ def bleu_brute(hypotheses, references):
     return 100.0 * bp * math.exp(sum(map(math.log, precisions)) / 4.0), precisions, bp
 
 
-def edit_distance_matrix(hyp, ref):
-    """Word-level edit distance with a full DP matrix."""
+def _edit_table(hyp, ref):
     n, m = len(hyp), len(ref)
     table = [[0] * (m + 1) for _ in range(n + 1)]
     for i in range(n + 1):
@@ -64,7 +64,75 @@ def edit_distance_matrix(hyp, ref):
                 table[i - 1][j] + 1,
                 table[i][j - 1] + 1,
             )
-    return table[n][m]
+    return table
+
+
+def edit_distance_matrix(hyp, ref):
+    """Word-level edit distance with a full DP matrix."""
+    return _edit_table(hyp, ref)[len(hyp)][len(ref)]
+
+
+def _span_positions(ref, span):
+    n = len(span)
+    return [k for k in range(len(ref) - n + 1) if list(ref[k : k + n]) == list(span)]
+
+
+def _best_shift(hyp, ref, max_shift_size):
+    """Every candidate shift scored by a full DP of its own."""
+    best_dist = None
+    best_hyp = None
+    seen = {tuple(hyp)}
+    for start in range(len(hyp)):
+        for size in range(1, min(max_shift_size, len(hyp) - start) + 1):
+            span = hyp[start : start + size]
+            if not _span_positions(ref, span):
+                continue
+            remainder = hyp[:start] + hyp[start + size :]
+            for k in _span_positions(ref, span):
+                dest = min(k, len(remainder))
+                candidate = remainder[:dest] + span + remainder[dest:]
+                key = tuple(candidate)
+                if key in seen:
+                    continue
+                seen.add(key)
+                dist = edit_distance_matrix(candidate, ref)
+                if best_dist is None or dist < best_dist:
+                    best_dist = dist
+                    best_hyp = candidate
+    if best_hyp is None:
+        return None
+    return best_dist, best_hyp
+
+
+def ter_edits_greedy(hyp, ref, max_shift_size):
+    """(insertions, deletions, substitutions, shifts) of tercom's greedy
+    block-shift search: apply the best distance-reducing shift until none
+    reduces it, then backtrace the final matrix preferring the diagonal,
+    then a hypothesis deletion, then an insertion."""
+    current = list(hyp)
+    n_shifts = 0
+    current_dist = edit_distance_matrix(current, ref)
+    while current_dist > 0:
+        found = _best_shift(current, ref, max_shift_size)
+        if found is None or found[0] >= current_dist:
+            break
+        current_dist, current = found
+        n_shifts += 1
+    table = _edit_table(current, ref)
+    ins = dels = subs = 0
+    i, j = len(current), len(ref)
+    while i > 0 or j > 0:
+        mismatch = 0 if i == 0 or j == 0 or current[i - 1] == ref[j - 1] else 1
+        if i > 0 and j > 0 and table[i][j] == table[i - 1][j - 1] + mismatch:
+            subs += mismatch
+            i, j = i - 1, j - 1
+        elif i > 0 and table[i][j] == table[i - 1][j] + 1:
+            dels += 1
+            i -= 1
+        else:
+            ins += 1
+            j -= 1
+    return ins, dels, subs, n_shifts
 
 
 def ascending_fraction(positions):

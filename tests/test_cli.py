@@ -145,6 +145,23 @@ def test_clean_no_clean_passthrough(runner, tmp_path, corpus):
     assert payload["kept"] == payload["total"] == 3
 
 
+def test_clean_no_clean_reports_unwritable_text(runner, tmp_path):
+    """A lone CR inside a line is kept; a CR ending a field (it would read
+    back as a CRLF ending) exits 2 with a message, not a traceback."""
+    src, tgt = tmp_path / "c.es", tmp_path / "c.ca"
+    src.write_bytes("el gato\rnegro duerme\nla casa\r\r\n".encode("utf-8"))
+    tgt.write_bytes("el gat\rnegre dorm\nla casa\n".encode("utf-8"))
+    args = ["clean", "--src", str(src), "--tgt", str(tgt), "--src-lang", "es", "--tgt-lang", "ca", "--no-clean"]
+    result = runner.invoke(cli, args + ["--out-prefix", str(tmp_path / "o")])
+    assert result.exit_code == 2
+    assert "error: pair 1: source text ends in a carriage return" in result.output
+    assert not isinstance(result.exception, ValueError)
+    src.write_bytes("el gato\rnegro duerme\nla casa\n".encode("utf-8"))
+    result = runner.invoke(cli, args + ["--out-prefix", str(tmp_path / "p")])
+    assert result.exit_code == 0, result.output
+    assert (tmp_path / "p.es").read_bytes() == src.read_bytes()
+
+
 def test_clean_same_langs_is_validation_error(runner, corpus, model_path, tmp_path):
     src, tgt = corpus
     result = runner.invoke(
@@ -279,6 +296,17 @@ def test_cognates_keeps_unicode_line_separators_inside_lines(runner, tmp_path, s
     assert dump == plain_dump
     for key in ("pairs_examined", "cognate_pairs", "preserved"):
         assert payload[key] == plain_payload[key]
+
+
+@pytest.mark.parametrize("threshold", ["0", "2", "-1"])
+def test_cognates_threshold_out_of_range_is_usage_error(runner, tmp_path, threshold):
+    src, ref = tmp_path / "src.txt", tmp_path / "ref.txt"
+    src.write_text("una contribució\n", encoding="utf-8")
+    ref.write_text("una contribución\n", encoding="utf-8")
+    result = runner.invoke(cli, ["cognates", "--src", str(src), "--ref", str(ref), "--threshold", threshold])
+    assert result.exit_code == 2
+    assert "Usage:" in result.output and "--threshold" in result.output
+    assert not isinstance(result.exception, ValueError)
 
 
 def test_help_lists_all_subcommands(runner):

@@ -5,7 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bitextkit.cognates import (
+    advance,
     count_examined,
+    edit_state,
     extract_cognates,
     levenshtein,
     normalized_distance,
@@ -14,7 +16,7 @@ from bitextkit.cognates import (
 from bitextkit.corpus_io import SentencePair
 from bitextkit.exceptions import IndexMismatch
 
-from oracles import levenshtein_recursive
+from oracles import edit_distance_matrix, levenshtein_recursive
 
 _WORD = st.text(alphabet="abcdefgàéíñç", max_size=12)
 
@@ -63,6 +65,50 @@ class TestLevenshtein:
         nd = normalized_distance(a, b)
         assert 0.0 <= nd <= 1.0
         assert (nd == 0.0) == (a == b)
+
+
+class TestBitParallelKernel:
+    """``edit_state``/``advance`` against the full-matrix DP, across the
+    30-bit digits of Python ints and the 64- and 128-bit boundaries."""
+
+    def test_every_reference_length_1_to_130(self):
+        rng = random.Random(7)
+        for m in range(1, 131):
+            for alphabet in range(1, 6):
+                ref = [rng.randrange(alphabet) for _ in range(m)]
+                hyp = [rng.randrange(alphabet + 1) for _ in range(rng.randint(0, m + 5))]
+                ctx, column = edit_state(ref)
+                assert advance(ctx, column, hyp)[2] == edit_distance_matrix(hyp, ref)
+                assert levenshtein(hyp, ref) == edit_distance_matrix(hyp, ref)
+
+    def test_resuming_from_any_prefix_equals_one_pass(self):
+        rng = random.Random(8)
+        for _ in range(100):
+            alphabet = rng.randint(1, 5)
+            ref = [rng.randrange(alphabet) for _ in range(rng.randint(0, 70))]
+            hyp = [rng.randrange(alphabet) for _ in range(rng.randint(0, 70))]
+            ctx, column = edit_state(ref)
+            columns = [column]
+            for item in hyp:
+                columns.append(advance(ctx, columns[-1], [item]))
+            for k, col in enumerate(columns):
+                assert col[2] == edit_distance_matrix(hyp[:k], ref)
+                assert advance(ctx, col, hyp[k:]) == columns[-1]
+
+    def test_empty_sides(self):
+        ctx, column = edit_state([])
+        assert column == (0, 0, 0)
+        assert advance(ctx, column, []) == (0, 0, 0)
+        assert advance(ctx, column, ["a", "b", "a"])[2] == 3
+        ctx, column = edit_state(["a", "b"])
+        assert advance(ctx, column, [])[2] == 2
+        assert levenshtein([], []) == levenshtein("", "") == 0
+        assert levenshtein(["a", "b"], []) == 2
+
+    def test_unseen_symbols_and_unicode(self):
+        ctx, column = edit_state("contribución")
+        assert advance(ctx, column, "contribució")[2] == 1
+        assert advance(ctx, column, "ñandú")[2] == edit_distance_matrix("ñandú", "contribución")
 
 
 def _pair(index, src, tgt):

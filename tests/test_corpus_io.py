@@ -11,7 +11,7 @@ from bitextkit.corpus_io import (
     write_parallel,
     write_tsv,
 )
-from bitextkit.exceptions import EncodingError, LineCountMismatch, MalformedRow
+from bitextkit.exceptions import EncodingError, LineCountMismatch, MalformedRow, UnwritableField
 
 
 def _pairs(*rows, langs=("es", "ca")):
@@ -106,6 +106,18 @@ class TestWriteParallel:
         with pytest.raises(ValueError):
             write_parallel(pairs, tmp_path / "o.src", tmp_path / "o.tgt")
 
+    def test_lone_cr_inside_a_line_round_trips(self, tmp_path):
+        pairs = _pairs(("el gato\rnegro duerme", "el gat\rnegre dorm"), ("la casa", "la\r casa"))
+        write_parallel(pairs, tmp_path / "o.src", tmp_path / "o.tgt")
+        assert list(read_parallel(tmp_path / "o.src", tmp_path / "o.tgt", "es", "ca")) == pairs
+
+    @pytest.mark.parametrize("text", ["bad\nline", "ends in cr\r", "\r"])
+    def test_unreadable_text_rejected_as_bitext_error(self, tmp_path, text):
+        with pytest.raises(UnwritableField, match="pair 1: target"):
+            write_parallel(_pairs(("ok", "ok"), ("ok", text)), tmp_path / "o.src", tmp_path / "o.tgt")
+        with pytest.raises(UnwritableField, match="pair 0: source"):
+            write_tsv(_pairs((text, "ok")), tmp_path / "o.tsv")
+
     def test_lf_line_endings_on_write(self, tmp_path):
         write_parallel(_pairs(("a", "b")), tmp_path / "o.src", tmp_path / "o.tgt")
         assert (tmp_path / "o.src").read_bytes() == b"a\n"
@@ -116,6 +128,8 @@ class TestWriteParallel:
         assert list(read_tsv(tmp_path / "o.tsv", "es", "ca")) == pairs
         with pytest.raises(ValueError):
             write_tsv(_pairs(("con\ttab", "x")), tmp_path / "o.tsv")
+        with pytest.raises(UnwritableField, match="TAB"):
+            write_tsv(_pairs(("x", "con\ttab")), tmp_path / "o.tsv")
 
 
 @settings(max_examples=60)

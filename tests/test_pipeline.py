@@ -277,6 +277,23 @@ class TestPipelineCli:
         assert result.exit_code == 1
         assert "invalid UTF-8 at byte offset 12" in result.output
 
+    def test_prep_keeps_lone_cr_inside_a_line(self, tmp_path):
+        src, tgt = tmp_path / "c.es", tmp_path / "c.ca"
+        src.write_bytes("el gato\rnegro duerme\nla casa\n".encode("utf-8"))
+        tgt.write_bytes("el gat\rnegre dorm\nla casa\n".encode("utf-8"))
+        cfg = tmp_path / "p.cfg"
+        cfg.write_text(
+            f"task = prep\nsrc_lang = es\ntgt_lang = ca\nsource = {src}\ntarget = {tgt}\n"
+            f"clean_enabled = false\nout_dir = {tmp_path / 'out'}\n",
+            encoding="utf-8",
+        )
+        result = CliRunner().invoke(cli, ["pipeline", "--config", str(cfg)])
+        assert result.exit_code == 0, result.output
+        assert (tmp_path / "out" / "cleaned.es").read_bytes() == src.read_bytes()
+        assert (tmp_path / "out" / "cleaned.ca").read_bytes() == tgt.read_bytes()
+        stats = json.loads((tmp_path / "out" / "stats_after.json").read_text(encoding="utf-8"))
+        assert stats["sentence_count"] == 2
+
     def test_stage_failure_exit_2(self, tmp_path, fixture_model):
         src, tgt = write_corpus(tmp_path)
         model = tmp_path / "m.lidm"

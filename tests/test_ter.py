@@ -1,10 +1,12 @@
 import random
+import time
 
 import pytest
 
 from bitextkit.metrics import ter, ter_corpus
 
-from oracles import edit_distance_matrix
+from oracles import edit_distance_matrix, ter_edits_greedy
+from synth import seed_lines
 
 
 def test_identity_zero_edits():
@@ -102,3 +104,59 @@ def test_corpus_aggregates_edits_over_lengths():
     corpus = ter_corpus(hyps, refs)
     assert corpus.edits.total == 1
     assert corpus.ter == pytest.approx(1 / 5)
+
+
+def _edits(hyp, ref, max_shift_size):
+    e = ter(hyp, [ref], max_shift_size=max_shift_size).edits
+    return e.insertions, e.deletions, e.substitutions, e.shifts
+
+
+def test_shift_search_equals_full_dp_oracle_random():
+    """Small alphabets make repeats and equal-distance candidates dense, so
+    the iteration order, the dedup and the strict tie rule all matter."""
+    rng = random.Random(34)
+    for _ in range(2400):
+        vocab = "abcde"[: rng.randint(1, 5)]
+        hyp = [rng.choice(vocab) for _ in range(rng.randint(0, 12))]
+        ref = [rng.choice(vocab) for _ in range(rng.randint(0, 12))]
+        max_shift_size = rng.choice([1, 2, 3, 10])
+        assert _edits(hyp, ref, max_shift_size) == ter_edits_greedy(hyp, ref, max_shift_size), (hyp, ref)
+
+
+def _moved_blocks(words, rng, blocks):
+    hyp = list(words)
+    for _ in range(blocks):
+        size = rng.randint(1, 4)
+        start = rng.randrange(len(hyp) - size + 1)
+        block = hyp[start : start + size]
+        del hyp[start : start + size]
+        dest = rng.randrange(len(hyp) + 1)
+        hyp[dest:dest] = block
+    return hyp
+
+
+def test_shift_search_equals_full_dp_oracle_on_moved_blocks():
+    rng = random.Random(35)
+    lines = [line.split() for line in seed_lines("es") if len(line.split()) >= 8]
+    for k in range(40):
+        ref = lines[k % len(lines)][:16]
+        hyp = _moved_blocks(ref, rng, rng.randint(1, 3))
+        if k % 4 == 0:
+            hyp[rng.randrange(len(hyp))] = "<sub>"
+        assert _edits(hyp, ref, 10) == ter_edits_greedy(hyp, ref, 10), (hyp, ref)
+
+
+def test_long_segment_finishes():
+    """80 words of seed text with three moved blocks; the full DP per
+    candidate needed seconds to minutes for one such segment."""
+    ref = " ".join(seed_lines("es")).split()[:80]
+    hyp = list(ref)
+    for start, size, dest in ((5, 4, 40), (30, 3, 70), (55, 5, 10)):
+        block = hyp[start : start + size]
+        del hyp[start : start + size]
+        hyp[dest:dest] = block
+    started = time.perf_counter()
+    score = ter(hyp, [ref])
+    assert time.perf_counter() - started < 3.0
+    assert score.edits.insertions == score.edits.deletions == score.edits.substitutions == 0
+    assert 1 <= score.edits.shifts <= 6
