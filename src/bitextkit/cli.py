@@ -1,8 +1,9 @@
 """Command-line interface: every pipeline stage as a subcommand.
 
 Exit codes: 0 on success, 1 on configuration/validation errors, 2 on a
-runtime stage failure. All options can also be set through environment
-variables prefixed ``BITEXTKIT_``.
+runtime stage failure, including an input or output the command cannot
+read or write. All options can also be set through environment variables
+prefixed ``BITEXTKIT_``.
 """
 
 from __future__ import annotations
@@ -13,13 +14,12 @@ import sys
 import click
 
 from . import __version__
-from .cleaner import audit_table
+from .cleaner import MODES, audit_table
 from .corpus_io import corpus_stats, decode_lines, read_lines, read_parallel, read_tsv
 from .exceptions import BitextError
 from .langid import classify, load_model, save_model, train
 from .metrics import score_report
 from .pipeline import (
-    StageFailure,
     clean_and_write,
     cognate_report,
     dump_json,
@@ -39,7 +39,20 @@ def _echo_json(payload: dict) -> None:
     click.echo(json.dumps(payload, indent=2, sort_keys=True))
 
 
-@click.group()
+class _Cli(click.Group):
+    """Reports a runtime failure of any subcommand as ``error: <message>``
+    with exit 2; a broken stdout pipe keeps click's own handling."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except BrokenPipeError:
+            raise
+        except (BitextError, OSError) as exc:
+            _fail(str(exc), 2)
+
+
+@click.group(cls=_Cli)
 @click.version_option(version=__version__)
 def cli():
     """Parallel-corpus cleaning and MT evaluation toolkit."""
@@ -53,16 +66,13 @@ def cli():
 @click.option("--tgt-lang", default="tgt", show_default=True)
 def stats(src_path, tgt_path, tsv_path, src_lang, tgt_lang):
     """Sentence/word counts and type-token ratios of a corpus."""
-    try:
-        if tsv_path:
-            pairs = read_tsv(tsv_path, src_lang, tgt_lang)
-        elif src_path and tgt_path:
-            pairs = read_parallel(src_path, tgt_path, src_lang, tgt_lang)
-        else:
-            _fail("provide --tsv or both --src and --tgt", 1)
-        result = corpus_stats(pairs)
-    except BitextError as exc:
-        _fail(str(exc), 2)
+    if tsv_path:
+        pairs = read_tsv(tsv_path, src_lang, tgt_lang)
+    elif src_path and tgt_path:
+        pairs = read_parallel(src_path, tgt_path, src_lang, tgt_lang)
+    else:
+        _fail("provide --tsv or both --src and --tgt", 1)
+    result = corpus_stats(pairs)
     _echo_json(with_provenance(result.to_dict(), {"src": src_path, "tgt": tgt_path, "tsv": tsv_path}))
 
 
@@ -102,13 +112,10 @@ def langid_train(seeds, out_path, ngram_min, ngram_max, vocab_size, alpha):
 @click.option("--file", "input_path", type=click.File("rb"), default="-", help="Input lines (default stdin).")
 def langid_classify(model_path, input_path):
     """Classify lines; emits TSV: text, predicted language, margin."""
-    try:
-        model = load_model(model_path)
-        for text in decode_lines(input_path):
-            prediction = classify(model, text)
-            click.echo(f"{text}\t{prediction.lang}\t{prediction.margin:.6f}")
-    except BitextError as exc:
-        _fail(str(exc), 2)
+    model = load_model(model_path)
+    for text in decode_lines(input_path):
+        prediction = classify(model, text)
+        click.echo(f"{text}\t{prediction.lang}\t{prediction.margin:.6f}")
 
 
 @cli.command("clean")
@@ -117,13 +124,13 @@ def langid_classify(model_path, input_path):
 @click.option("--src-lang", required=True)
 @click.option("--tgt-lang", required=True)
 @click.option("--model", "model_path", type=click.Path(exists=True, dir_okay=False))
-@click.option("--mode", type=click.Choice(["per_side", "concat", "both"]), default="both", show_default=True)
+@click.option("--mode", type=click.Choice(MODES), default="both", show_default=True)
 @click.option("--out-prefix", required=True, help="Kept pairs go to PREFIX.<src-lang> / PREFIX.<tgt-lang>.")
 @click.option("--report", "report_path", type=click.Path(dir_okay=False), help="Write the JSON cleaning report here.")
 @click.option("--full-report", is_flag=True, help="Include every per-pair decision in the report.")
 @click.option("--audit", type=click.Choice(["tsv", "text"]), help="Print a removed-pairs audit table to stderr.")
 @click.option("--no-clean", is_flag=True, help="Pass-through: keep everything (policy escape hatch for tiny corpora).")
-@click.option("--workers", default=1, show_default=True)
+@click.option("--workers", type=click.IntRange(min=1), default=1, show_default=True)
 def clean_cmd(src_path, tgt_path, src_lang, tgt_lang, model_path, mode, out_prefix, report_path, full_report, audit, no_clean, workers):
     """Remove noisy pairs using language identification."""
     if src_lang == tgt_lang:
@@ -132,16 +139,13 @@ def clean_cmd(src_path, tgt_path, src_lang, tgt_lang, model_path, mode, out_pref
         _fail("--model is required unless --no-clean is given", 1)
     out_src = f"{out_prefix}.{src_lang}"
     out_tgt = f"{out_prefix}.{tgt_lang}"
-    try:
-        pairs = list(read_parallel(src_path, tgt_path, src_lang, tgt_lang))
-        kept, body, decisions = clean_and_write(
-            pairs, None if no_clean else model_path, mode, workers, out_src, out_tgt,
-            keep_decisions=bool(audit), include_decisions=full_report,
-        )
-        if audit and not no_clean:
-            click.echo(audit_table(decisions, pairs, fmt=audit), err=True)
-    except BitextError as exc:
-        _fail(str(exc), 2)
+    pairs = list(read_parallel(src_path, tgt_path, src_lang, tgt_lang))
+    kept, body, decisions = clean_and_write(
+        pairs, None if no_clean else model_path, mode, workers, out_src, out_tgt,
+        keep_decisions=bool(audit), include_decisions=full_report,
+    )
+    if audit and not no_clean:
+        click.echo(audit_table(decisions, pairs, fmt=audit), err=True)
     payload = with_provenance(
         body,
         {
@@ -169,11 +173,8 @@ def clean_cmd(src_path, tgt_path, src_lang, tgt_lang, model_path, mode, out_pref
 def tokenize_cmd(lang, fallback_of, aggressive_hyphen, input_file, output_file):
     """Tokenize lines (stdin to stdout by default)."""
     rules = resolve_rules(lang, fallback_of, aggressive_hyphen=aggressive_hyphen)
-    try:
-        for text in decode_lines(input_file):
-            output_file.write(" ".join(tokenize(text, rules)) + "\n")
-    except BitextError as exc:
-        _fail(str(exc), 2)
+    for text in decode_lines(input_file):
+        output_file.write(" ".join(tokenize(text, rules)) + "\n")
 
 
 @cli.command("detokenize")
@@ -184,11 +185,8 @@ def tokenize_cmd(lang, fallback_of, aggressive_hyphen, input_file, output_file):
 def detokenize_cmd(lang, fallback_of, input_file, output_file):
     """Reverse Moses-style tokenization (stdin to stdout by default)."""
     rules = resolve_rules(lang, fallback_of)
-    try:
-        for text in decode_lines(input_file):
-            output_file.write(detokenize(text.split(), rules) + "\n")
-    except BitextError as exc:
-        _fail(str(exc), 2)
+    for text in decode_lines(input_file):
+        output_file.write(detokenize(text.split(), rules) + "\n")
 
 
 @cli.command("score")
@@ -199,10 +197,7 @@ def detokenize_cmd(lang, fallback_of, input_file, output_file):
 @click.option("--lowercase", is_flag=True, help="Case-insensitive scoring.")
 def score_cmd(hyp_path, ref_paths, lang, tokenized, lowercase):
     """BLEU, RIBES, and TER of a hypothesis file against reference files."""
-    try:
-        report = score_report(hyp_path, list(ref_paths), lang=lang, tokenized_input=tokenized, lowercase=lowercase)
-    except BitextError as exc:
-        _fail(str(exc), 2)
+    report = score_report(hyp_path, list(ref_paths), lang=lang, tokenized_input=tokenized, lowercase=lowercase)
     _echo_json(
         with_provenance(
             report.to_dict(),
@@ -217,18 +212,15 @@ def score_cmd(hyp_path, ref_paths, lang, tokenized, lowercase):
 @click.option("--ref", "ref_path", required=True, type=click.Path(exists=True, dir_okay=False))
 @click.option("--sys", "sys_path", type=click.Path(exists=True, dir_okay=False), help="System output to measure preservation on.")
 @click.option("--threshold", type=click.FloatRange(0, 1, min_open=True), default=0.3, show_default=True)
-@click.option("--min-len", default=4, show_default=True)
+@click.option("--min-len", type=click.IntRange(min=1), default=4, show_default=True)
 @click.option("--dump", "dump_path", type=click.Path(dir_okay=False), help="Also write extracted pairs as TSV here.")
-@click.option("--workers", default=1, show_default=True)
+@click.option("--workers", type=click.IntRange(min=1), default=1, show_default=True)
 def cognates_cmd(src_path, ref_path, sys_path, threshold, min_len, dump_path, workers):
     """Extract cognates between source and reference; optionally measure
     how many a system output preserves. Inputs must be tokenized."""
-    try:
-        pairs = list(read_parallel(src_path, ref_path, "src", "ref"))
-        sys_tokens = [line.split() for line in read_lines(sys_path)] if sys_path else None
-        found, body = cognate_report(pairs, sys_tokens, threshold, min_len, workers)
-    except BitextError as exc:
-        _fail(str(exc), 2)
+    pairs = list(read_parallel(src_path, ref_path, "src", "ref"))
+    sys_tokens = [line.split() for line in read_lines(sys_path)] if sys_path else None
+    found, body = cognate_report(pairs, sys_tokens, threshold, min_len, workers)
     if dump_path:
         with open(dump_path, "w", encoding="utf-8") as fh:
             fh.write("sentence\tsource_word\ttarget_word\tdistance\tnormalized_distance\tsource_position\ttarget_position\n")
@@ -261,10 +253,7 @@ def pipeline_cmd(config_path, overrides):
         for err in errors:
             click.echo(f"config error: {err}", err=True)
         sys.exit(1)
-    try:
-        run_pipeline(config)
-    except StageFailure as exc:
-        _fail(str(exc), 2)
+    run_pipeline(config)
     click.echo(f"pipeline complete -> {config.out_dir}", err=True)
 
 

@@ -101,17 +101,6 @@ class CognatePair:
     source_position: int
     target_position: int
 
-    def to_dict(self) -> dict:
-        return {
-            "source_word": self.source_word,
-            "target_word": self.target_word,
-            "distance": self.distance,
-            "normalized_distance": self.normalized_distance,
-            "source_sentence_index": self.source_sentence_index,
-            "source_position": self.source_position,
-            "target_position": self.target_position,
-        }
-
 
 @dataclass(frozen=True)
 class CognateReport:

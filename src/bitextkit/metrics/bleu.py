@@ -10,11 +10,11 @@ is 0.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
 from ..exceptions import EmptyCorpus, LineCountMismatch
+from .ngrams import ngram_positions
 
 MAX_ORDER = 4
 
@@ -34,19 +34,6 @@ class BleuScore:
     hyp_len: int
     ref_len: int
 
-    def to_dict(self) -> dict:
-        return {
-            "bleu": self.bleu,
-            "precisions": list(self.precisions),
-            "brevity_penalty": self.brevity_penalty,
-            "hyp_len": self.hyp_len,
-            "ref_len": self.ref_len,
-        }
-
-
-def _ngram_counts(tokens: Tokens, order: int) -> Counter:
-    return Counter(tuple(tokens[i : i + order]) for i in range(len(tokens) - order + 1))
-
 
 def _closest_ref_len(hyp_len: int, refs: Sequence[Tokens]) -> int:
     best_len = None
@@ -61,18 +48,11 @@ def _closest_ref_len(hyp_len: int, refs: Sequence[Tokens]) -> int:
 
 
 def _segment_stats(hyp: Tokens, refs: Sequence[Tokens], correct: list, total: list) -> None:
-    for n in range(1, MAX_ORDER + 1):
-        hyp_counts = _ngram_counts(hyp, n)
-        if not hyp_counts:
-            continue
-        max_ref: Counter = Counter()
-        for ref in refs:
-            for gram, count in _ngram_counts(ref, n).items():
-                if count > max_ref[gram]:
-                    max_ref[gram] = count
-        for gram, count in hyp_counts.items():
-            correct[n - 1] += min(count, max_ref.get(gram, 0))
-            total[n - 1] += count
+    ref_indexes = [ngram_positions(ref, MAX_ORDER) for ref in refs]
+    for gram, starts in ngram_positions(hyp, MAX_ORDER).items():
+        clip = max(len(index.get(gram, ())) for index in ref_indexes)
+        correct[len(gram) - 1] += min(len(starts), clip)
+        total[len(gram) - 1] += len(starts)
 
 
 def _score_from_stats(

@@ -9,7 +9,7 @@ from ..corpus_io import read_lines
 from ..exceptions import EmptyCorpus, LineCountMismatch
 from ..tokenizer import resolve_rules, tokenize
 from .bleu import BleuScore, bleu_corpus
-from .ribes import DEFAULT_ALPHA, DEFAULT_BETA, RibesScore, ribes_corpus
+from .ribes import RibesScore, ribes_corpus
 from .ter import DEFAULT_MAX_SHIFT_SIZE, TerScore, ter_corpus
 
 
@@ -20,7 +20,6 @@ class MetricReport:
     bleu: BleuScore
     ribes: RibesScore
     ter: TerScore
-    ter_max_shift_size: int = DEFAULT_MAX_SHIFT_SIZE
 
     def to_dict(self) -> dict:
         """Flat JSON-friendly rendering, full precision.
@@ -47,7 +46,7 @@ class MetricReport:
             "ter": self.ter.ter,
             "edits": edits.to_dict(),
             "ter_ref_len": self.ter.ref_len,
-            "ter_max_shift_size": self.ter_max_shift_size,
+            "ter_max_shift_size": DEFAULT_MAX_SHIFT_SIZE,
         }
 
     def summary(self) -> str:
@@ -58,16 +57,12 @@ class MetricReport:
 def score_corpus(
     hypotheses: Sequence[Sequence[str]],
     references: Sequence[Sequence[Sequence[str]]],
-    alpha: float = DEFAULT_ALPHA,
-    beta: float = DEFAULT_BETA,
-    ter_max_shift_size: int = DEFAULT_MAX_SHIFT_SIZE,
 ) -> MetricReport:
     """Score pre-tokenized segments (``references[i]`` is a list of refs)."""
     return MetricReport(
         bleu=bleu_corpus(hypotheses, references),
-        ribes=ribes_corpus(hypotheses, references, alpha=alpha, beta=beta),
-        ter=ter_corpus(hypotheses, references, max_shift_size=ter_max_shift_size),
-        ter_max_shift_size=ter_max_shift_size,
+        ribes=ribes_corpus(hypotheses, references),
+        ter=ter_corpus(hypotheses, references),
     )
 
 
@@ -77,8 +72,6 @@ def score_report(
     lang: str,
     tokenized_input: bool = False,
     lowercase: bool = False,
-    alpha: float = DEFAULT_ALPHA,
-    beta: float = DEFAULT_BETA,
 ) -> MetricReport:
     """Score a hypothesis file against one or more line-aligned reference files.
 
@@ -115,4 +108,4 @@ def score_report(
     references = [
         [split(ref_lines[i]) for ref_lines in ref_corpora] for i in range(len(hyp_lines))
     ]
-    return score_corpus(hypotheses, references, alpha=alpha, beta=beta)
+    return score_corpus(hypotheses, references)

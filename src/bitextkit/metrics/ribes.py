@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from ..exceptions import EmptyCorpus, LineCountMismatch
+from .ngrams import ngram_positions
 
 DEFAULT_ALPHA = 0.25
 DEFAULT_BETA = 0.10
@@ -33,48 +34,52 @@ class RibesScore:
     alpha: float
     beta: float
 
-    def to_dict(self) -> dict:
-        return {
-            "ribes": self.ribes,
-            "nkt": self.nkt,
-            "unigram_precision": self.unigram_precision,
-            "bp": self.bp,
-            "alpha": self.alpha,
-            "beta": self.beta,
-        }
-
-
-def _occurrences(seq: Tokens, gram: tuple) -> list[int]:
-    """Start positions of (possibly overlapping) occurrences of gram in seq."""
-    n = len(gram)
-    return [i for i in range(len(seq) - n + 1) if tuple(seq[i : i + n]) == gram]
-
 
 def word_alignment(ref: Tokens, hyp: Tokens) -> list[int]:
-    """Reference positions of aligned hypothesis words, in hypothesis order."""
-    ref = list(ref)
-    hyp = list(hyp)
+    """Reference positions of aligned hypothesis words, in hypothesis order.
+
+    A context gram grows by one word per window, so its occurrences are
+    those of the previous gram that the new word extends: each side's
+    lists start from the unigram index and are filtered as the window
+    grows. Once a direction's gram is gone from the reference, every longer
+    gram in that direction is too, and the direction is dropped.
+    """
+    ref_index = ngram_positions(ref, 1)
+    hyp_index = ngram_positions(hyp, 1)
     aligned: list[int] = []
     for i, word in enumerate(hyp):
-        ref_count = ref.count(word)
-        if ref_count == 0:
+        in_ref = ref_index.get((word,))
+        if in_ref is None:
             continue
-        if ref_count == 1 and hyp.count(word) == 1:
-            aligned.append(ref.index(word))
+        in_hyp = hyp_index[(word,)]
+        if len(in_ref) == 1 and len(in_hyp) == 1:
+            aligned.append(in_ref[0])
             continue
-        for window in range(1, max(i + 1, len(hyp) - i)):
-            if window <= i:
-                gram = tuple(hyp[i - window : i + 1])
-                in_ref = _occurrences(ref, gram)
-                if len(in_ref) == 1 and len(_occurrences(hyp, gram)) == 1:
-                    aligned.append(in_ref[0] + window)
+        # left lists hold where hyp[i - window : i + 1] ends, right lists
+        # where hyp[i : i + window + 1] starts; an empty list is a dead side
+        left_ref, left_hyp = (in_ref, in_hyp) if i > 0 else ([], [])
+        right_ref, right_hyp = (in_ref, in_hyp) if i + 1 < len(hyp) else ([], [])
+        window = 0
+        while left_ref or right_ref:
+            window += 1
+            if left_ref:
+                added = hyp[i - window]
+                left_ref = [e for e in left_ref if e >= window and ref[e - window] == added]
+                left_hyp = [e for e in left_hyp if e >= window and hyp[e - window] == added]
+                if len(left_ref) == 1 and len(left_hyp) == 1:
+                    aligned.append(left_ref[0])
                     break
-            if i + window < len(hyp):
-                gram = tuple(hyp[i : i + window + 1])
-                in_ref = _occurrences(ref, gram)
-                if len(in_ref) == 1 and len(_occurrences(hyp, gram)) == 1:
-                    aligned.append(in_ref[0])
+                if window == i:
+                    left_ref = []
+            if right_ref:
+                added = hyp[i + window]
+                right_ref = [s for s in right_ref if s + window < len(ref) and ref[s + window] == added]
+                right_hyp = [s for s in right_hyp if s + window < len(hyp) and hyp[s + window] == added]
+                if len(right_ref) == 1 and len(right_hyp) == 1:
+                    aligned.append(right_ref[0])
                     break
+                if i + window + 1 == len(hyp):
+                    right_ref = []
     return aligned
 
 

@@ -18,6 +18,7 @@ from typing import Sequence
 
 from ..cognates import advance, edit_state
 from ..exceptions import EmptyCorpus, LineCountMismatch
+from .ngrams import ngram_positions
 
 DEFAULT_MAX_SHIFT_SIZE = 10
 
@@ -49,9 +50,6 @@ class TerScore:
     ter: float
     edits: EditCounts
     ref_len: float
-
-    def to_dict(self) -> dict:
-        return {"ter": self.ter, "edits": self.edits.to_dict(), "ref_len": self.ref_len}
 
 
 def _edit_breakdown(hyp: Tokens, ref: Tokens) -> tuple[int, int, int]:
@@ -87,16 +85,6 @@ def _edit_breakdown(hyp: Tokens, ref: Tokens) -> tuple[int, int, int]:
             ins += 1
             j -= 1
     return ins, dels, subs
-
-
-def _ngram_positions(ref: Tokens, max_size: int) -> dict:
-    """Every reference n-gram of 1..``max_size`` words, mapped to its start
-    positions in ascending order."""
-    index: dict = {}
-    for size in range(1, min(max_size, len(ref)) + 1):
-        for k in range(len(ref) - size + 1):
-            index.setdefault(tuple(ref[k : k + size]), []).append(k)
-    return index
 
 
 def _best_shift(
@@ -142,7 +130,7 @@ def _edits_against(hyp: Tokens, ref: Tokens, shifts: bool, max_shift_size: int) 
     if shifts:
         ctx, start_column = edit_state(ref)
         current_dist = advance(ctx, start_column, current)[2]
-        index = _ngram_positions(ref, max_shift_size) if current_dist else {}
+        index = ngram_positions(ref, max_shift_size) if current_dist else {}
         while current_dist > 0:
             found = _best_shift(current, ctx, start_column, index, max_shift_size)
             if found is None or found[0] >= current_dist:

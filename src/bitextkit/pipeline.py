@@ -24,7 +24,7 @@ from pathlib import Path
 from typing import Optional
 
 from . import __version__
-from .cleaner import clean
+from .cleaner import MODES, clean
 from .cognates import count_examined, extract_cognates, preservation
 from .corpus_io import SentencePair, corpus_stats, read_lines, read_parallel, write_parallel
 from .exceptions import BitextError
@@ -35,7 +35,6 @@ from .tokenizer import TokenizerRules, detokenize, resolve_rules, tokenize
 ENV_PREFIX = "BITEXTKIT_"
 
 _TASKS = ("prep", "eval")
-_CLEAN_MODES = ("per_side", "concat", "both")
 
 
 class ConfigParseError(BitextError):
@@ -149,8 +148,8 @@ def validate_config(
         errors.append(f"src_lang and tgt_lang must differ, both are {config.src_lang!r}")
     if config.workers < 1:
         errors.append(f"workers: must be >= 1, got {config.workers}")
-    if config.clean_mode not in _CLEAN_MODES:
-        errors.append(f"clean_mode: must be one of {_CLEAN_MODES}, got {config.clean_mode!r}")
+    if config.clean_mode not in MODES:
+        errors.append(f"clean_mode: must be one of {MODES}, got {config.clean_mode!r}")
     if not 0 < config.cognate_threshold <= 1:
         errors.append(f"cognate_threshold: must be in (0, 1], got {config.cognate_threshold}")
     if config.cognate_min_len < 1:
@@ -362,7 +361,7 @@ def _run_eval(config: PipelineConfig, out: Path, manifest: _Manifest) -> None:
         report = score_report(
             detok_path,
             [config.ref],
-            lang=config.lang,
+            lang=rules.lang,
             tokenized_input=False,
             lowercase=config.lowercase,
         )

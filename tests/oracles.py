@@ -2,7 +2,8 @@
 library. These deliberately share no code with the package: n-grams are
 counted by naive list scans, edit distance by a full DP matrix (TER's
 greedy shift search rescores every candidate with one), rank correlation
-by all-pairs counting, and Levenshtein by plain recursion.
+by all-pairs counting, RIBES alignment by rescanning both sides for every
+context window, and Levenshtein by plain recursion.
 """
 
 import math
@@ -151,6 +152,42 @@ def ascending_fraction(positions):
 def distinct_word_alignment(ref, hyp):
     """Reference ranks of hypothesis words when every word is unique."""
     return [ref.index(w) for w in hyp if w in ref]
+
+
+def _occurrences(seq, gram):
+    """Start positions of (possibly overlapping) occurrences of gram in seq."""
+    n = len(gram)
+    return [i for i in range(len(seq) - n + 1) if tuple(seq[i : i + n]) == gram]
+
+
+def ribes_alignment_rescan(ref, hyp):
+    """RIBES word alignment that rescans both sides for every context gram:
+    a word unique to both sides aligns directly; otherwise windows grow one
+    word at a time, left before right, until a gram is unique in both."""
+    ref = list(ref)
+    hyp = list(hyp)
+    aligned = []
+    for i, word in enumerate(hyp):
+        ref_count = ref.count(word)
+        if ref_count == 0:
+            continue
+        if ref_count == 1 and hyp.count(word) == 1:
+            aligned.append(ref.index(word))
+            continue
+        for window in range(1, max(i + 1, len(hyp) - i)):
+            if window <= i:
+                gram = tuple(hyp[i - window : i + 1])
+                in_ref = _occurrences(ref, gram)
+                if len(in_ref) == 1 and len(_occurrences(hyp, gram)) == 1:
+                    aligned.append(in_ref[0] + window)
+                    break
+            if i + window < len(hyp):
+                gram = tuple(hyp[i : i + window + 1])
+                in_ref = _occurrences(ref, gram)
+                if len(in_ref) == 1 and len(_occurrences(hyp, gram)) == 1:
+                    aligned.append(in_ref[0])
+                    break
+    return aligned
 
 
 def levenshtein_recursive(a, b):

@@ -115,3 +115,17 @@ def test_against_brute_force_oracle_random_corpora():
         assert mine.bleu == pytest.approx(expected_bleu, abs=1e-9), f"case {case}"
         assert list(mine.precisions) == pytest.approx(expected_ps, abs=1e-12)
         assert mine.brevity_penalty == pytest.approx(expected_bp, abs=1e-12)
+
+
+def test_clipped_counts_equal_oracle_on_repetitive_segments():
+    """Lengths 0-25 over alphabets of 1-6 words: every order from empty to
+    dense repeats, with up to three references to clip against."""
+    rng = random.Random(71)
+    for _ in range(1000):
+        alphabet = rng.randint(1, 6)
+        hyp = [rng.randrange(alphabet) for _ in range(rng.randint(0, 25))]
+        refs = [[rng.randrange(alphabet) for _ in range(rng.randint(0, 25))] for _ in range(rng.randint(1, 3))]
+        expected_bleu, expected_ps, _ = bleu_brute([hyp], [refs])
+        mine = bleu_corpus([hyp], [refs])
+        assert list(mine.precisions) == expected_ps, (hyp, refs)
+        assert mine.bleu == expected_bleu

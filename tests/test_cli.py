@@ -313,3 +313,50 @@ def test_help_lists_all_subcommands(runner):
     result = runner.invoke(cli, ["--help"])
     for name in ("stats", "langid-train", "langid-classify", "clean", "tokenize", "detokenize", "score", "cognates", "pipeline"):
         assert name in result.output
+
+
+def _unwritable_output_args(tmp_path, src, tgt):
+    missing = tmp_path / "missing"
+    a_file = tmp_path / "a_file"
+    a_file.write_text("", encoding="utf-8")
+    return {
+        "clean": ["clean", "--src", str(src), "--tgt", str(tgt), "--src-lang", "es", "--tgt-lang", "ca",
+                  "--no-clean", "--out-prefix", str(missing / "x")],
+        "cognates": ["cognates", "--src", str(src), "--ref", str(tgt), "--dump", str(missing / "d.tsv")],
+        "langid-train": ["langid-train", "--seed", f"es={src}", "--seed", f"ca={tgt}", "--out", str(missing / "m.lidm")],
+        "pipeline": ["pipeline", "--set", "task=prep", "--set", "src_lang=es", "--set", "tgt_lang=ca",
+                     "--set", f"source={src}", "--set", f"target={tgt}", "--set", "clean_enabled=false",
+                     "--set", f"out_dir={a_file / 'out'}"],
+    }
+
+
+@pytest.mark.parametrize("command", ["clean", "cognates", "langid-train", "pipeline"])
+def test_unwritable_output_exits_2_with_message(runner, tmp_path, corpus, command):
+    result = runner.invoke(cli, _unwritable_output_args(tmp_path, *corpus)[command])
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert result.stderr.startswith("error: ")
+    assert "Traceback" not in result.output
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["clean", "--workers", "0"],
+        ["clean", "--workers", "-3"],
+        ["cognates", "--workers", "0"],
+        ["cognates", "--min-len", "0"],
+    ],
+)
+def test_counts_below_one_are_usage_errors(runner, tmp_path, corpus, args):
+    src, tgt = corpus
+    command, options = args[0], args[1:]
+    if command == "clean":
+        inputs = ["--src", str(src), "--tgt", str(tgt), "--src-lang", "es", "--tgt-lang", "ca",
+                  "--no-clean", "--out-prefix", str(tmp_path / "x")]
+    else:
+        inputs = ["--src", str(src), "--ref", str(tgt)]
+    result = runner.invoke(cli, [command] + inputs + options)
+    assert result.exit_code == 2
+    assert "Usage:" in result.output and options[-2] in result.output
+    assert "x>=1" in result.output

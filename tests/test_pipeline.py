@@ -345,3 +345,21 @@ def test_run_pipeline_success_exit_0(tmp_path, fixture_model):
     runner = CliRunner()
     result = runner.invoke(cli, ["pipeline", "--config", str(cfg)])
     assert result.exit_code == 0, result.output
+
+
+def test_eval_scores_with_the_rules_detokenize_resolved(tmp_path):
+    """Bambara has no prefix list, so fr->bm falls back to the French rules,
+    which keep "M." whole; neutral rules would split it (11 tokens)."""
+    src, ref, hyp = tmp_path / "src.fr", tmp_path / "ref.bm", tmp_path / "hyp.bm"
+    src.write_text("Il fait chaud, M. Diallo le sait.\n", encoding="utf-8")
+    ref.write_text("Ji ka kalan, M. Diallo ko o la.\n", encoding="utf-8")
+    hyp.write_text("Ji ka kalan , M. Diallo ko o la .\n", encoding="utf-8")
+    out = tmp_path / "eval_out"
+    overrides = {"task": "eval", "src_lang": "fr", "tgt_lang": "bm", "source": src, "ref": ref, "hyp": hyp, "out_dir": out}
+    config, errors = validate_config(overrides=overrides, env={})
+    assert errors == []
+    run_pipeline(config)
+    assert json.loads((out / "detokenize_report.json").read_text(encoding="utf-8"))["rules"] == "fr"
+    score = json.loads((out / "score.json").read_text(encoding="utf-8"))
+    assert score["hyp_len"] == 10
+    assert score["bleu"] == 100.0

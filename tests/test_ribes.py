@@ -1,11 +1,13 @@
 import random
+import time
 
 import pytest
 
 from bitextkit.metrics import ribes, ribes_corpus
 from bitextkit.metrics.ribes import normalized_kendall_tau, word_alignment
 
-from oracles import ascending_fraction, distinct_word_alignment
+from oracles import ascending_fraction, distinct_word_alignment, ribes_alignment_rescan
+from synth import seed_lines
 
 
 def test_identity_all_distinct():
@@ -112,3 +114,43 @@ def test_corpus_is_mean_of_best_scores():
     refs = [[["a", "b", "c"]], [["a", "b", "c", "d"]]]
     corpus = ribes_corpus(hyps, refs)
     assert corpus.ribes == pytest.approx((1.0 + 0.0) / 2)
+
+
+def test_alignment_equals_rescan_oracle_random():
+    """Small alphabets make repeated words and repeated context grams dense,
+    so both windows, their order and the uniqueness test on each side all
+    matter."""
+    rng = random.Random(61)
+    for _ in range(3000):
+        alphabet = rng.randint(1, 6)
+        ref = [rng.randrange(alphabet) for _ in range(rng.randint(0, 25))]
+        hyp = [rng.randrange(alphabet) for _ in range(rng.randint(0, 25))]
+        assert word_alignment(ref, hyp) == ribes_alignment_rescan(ref, hyp), (ref, hyp)
+
+
+def _long_cases():
+    words = " ".join(seed_lines("es")).split()
+    shuffled = words[:400]
+    random.Random(62).shuffle(shuffled)
+    loop = ["de", "la"] * 120
+    return {
+        "shuffled-400": (words[:400], shuffled),
+        "loop-240": (words[:240], loop),
+        "loop-both-sides-80": (loop[:80], loop[:80]),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_long_cases()))
+def test_alignment_equals_rescan_oracle_on_long_segments(case):
+    ref, hyp = _long_cases()[case]
+    assert word_alignment(ref, hyp) == ribes_alignment_rescan(ref, hyp)
+
+
+@pytest.mark.parametrize("case", ["shuffled-400", "loop-240"])
+def test_long_segment_finishes(case):
+    """The rescanning alignment took seconds to minutes on such segments."""
+    ref, hyp = _long_cases()[case]
+    started = time.perf_counter()
+    score = ribes(hyp, [ref])
+    assert time.perf_counter() - started < 2.0
+    assert 0.0 <= score.ribes <= 1.0
