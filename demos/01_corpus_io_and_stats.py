@@ -18,17 +18,18 @@ pairs = [
     SentencePair(2, "Compramos pan y queso.", "Vam comprar pa i formatge.", "es", "ca"),
 ]
 
-workdir = Path(tempfile.mkdtemp())
-write_parallel(pairs, workdir / "demo.es", workdir / "demo.ca")
-print("wrote", workdir / "demo.es", "and", workdir / "demo.ca")
+with tempfile.TemporaryDirectory() as tmp:
+    workdir = Path(tmp)
+    write_parallel(pairs, workdir / "demo.es", workdir / "demo.ca")
+    print("wrote", workdir / "demo.es", "and", workdir / "demo.ca")
 
-# reading streams the pairs back in order, with consecutive indices
-again = list(read_parallel(workdir / "demo.es", workdir / "demo.ca", "es", "ca"))
-assert again == pairs
-print("round-trip intact:", len(again), "pairs")
+    # reading streams the pairs back in order, with consecutive indices
+    again = list(read_parallel(workdir / "demo.es", workdir / "demo.ca", "es", "ca"))
+    assert again == pairs
+    print("round-trip intact:", len(again), "pairs")
 
-# corpus statistics: whitespace-delimited words, corpus-global TTR
-stats = corpus_stats(again)
-print("sentences:", stats.sentence_count)
-print("words (es / ca):", stats.word_count_source, "/", stats.word_count_target)
-print("TTR (es / ca):  %.3f / %.3f" % (stats.ttr_source, stats.ttr_target))
+    # corpus statistics: whitespace-delimited words, corpus-global TTR
+    stats = corpus_stats(again)
+    print("sentences:", stats.sentence_count)
+    print("words (es / ca):", stats.word_count_source, "/", stats.word_count_target)
+    print("TTR (es / ca):  %.3f / %.3f" % (stats.ttr_source, stats.ttr_target))

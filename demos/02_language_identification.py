@@ -34,8 +34,9 @@ for text in probes:
     print(f"{pred.lang}  margin={pred.margin:6.2f}  {text}")
 
 # models serialize to a compact versioned binary format
-path = Path(tempfile.mkdtemp()) / "romance.lidm"
-save_model(model, path)
-reloaded = load_model(path)
-assert classify(reloaded, probes[0]) == classify(model, probes[0])
-print("saved and reloaded:", path, f"({path.stat().st_size} bytes)")
+with tempfile.TemporaryDirectory() as tmp:
+    path = Path(tmp) / "romance.lidm"
+    save_model(model, path)
+    reloaded = load_model(path)
+    assert classify(reloaded, probes[0]) == classify(model, probes[0])
+    print("saved and reloaded:", path, f"({path.stat().st_size} bytes)")

@@ -15,7 +15,7 @@ import click
 
 from . import __version__
 from .cleaner import MODES, audit_table
-from .corpus_io import corpus_stats, decode_lines, read_lines, read_parallel, read_tsv
+from .corpus_io import atomic_write, corpus_stats, decode_lines, read_lines, read_parallel, read_tsv
 from .exceptions import BitextError
 from .langid import classify, load_model, save_model, train
 from .metrics import score_report
@@ -222,7 +222,7 @@ def cognates_cmd(src_path, ref_path, sys_path, threshold, min_len, dump_path, wo
     sys_tokens = [line.split() for line in read_lines(sys_path)] if sys_path else None
     found, body = cognate_report(pairs, sys_tokens, threshold, min_len, workers)
     if dump_path:
-        with open(dump_path, "w", encoding="utf-8") as fh:
+        with atomic_write(dump_path) as (fh,):
             fh.write("sentence\tsource_word\ttarget_word\tdistance\tnormalized_distance\tsource_position\ttarget_position\n")
             for c in found:
                 fh.write(

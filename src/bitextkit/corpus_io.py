@@ -12,8 +12,10 @@ UTF-8 raises EncodingError with the byte offset of the bad data.
 
 from __future__ import annotations
 
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import BinaryIO, Iterable, Iterator, Optional
+from typing import BinaryIO, Iterable, Iterator, Optional, TextIO
 
 from .exceptions import EncodingError, LineCountMismatch, MalformedRow, UnwritableField
 
@@ -134,18 +136,51 @@ def _check_writable(pair: SentencePair, forbid_tab: bool = False) -> None:
             raise UnwritableField(pair.index, side, "contains a TAB (not representable in TSV)")
 
 
+@contextmanager
+def atomic_write(*paths) -> Iterator[tuple[TextIO, ...]]:
+    """Yield one UTF-8 text handle per path (newlines written as given),
+    each writing to a temporary file beside the file the path names.
+
+    When the block completes, every temporary file is closed and only then
+    moved onto its file. When it raises, the temporary files are removed
+    and the files keep what they held. Files get the mode ``open`` would
+    give a new file under the umask. A path naming a device or a pipe
+    (``/dev/null``, ``/dev/stdout``) is written in place instead.
+    """
+    files = []  # (file, temporary file or None, handle)
+    try:
+        for path in paths:
+            final = temp = None
+            if os.path.isfile(path) or not os.path.exists(path):
+                final = os.path.realpath(path)
+                directory, name = os.path.split(final)
+                temp = os.path.join(directory, f".{name}.{os.urandom(6).hex()}.tmp")
+            files.append((final, temp, open(temp or path, "x" if temp else "w", encoding="utf-8", newline="")))
+        yield tuple(fh for _, _, fh in files)
+        for _, _, fh in files:
+            fh.close()
+        for final, temp, _ in files:
+            if temp:
+                os.replace(temp, final)
+    except BaseException:
+        for _, temp, fh in files:
+            fh.close()
+            if temp and os.path.exists(temp):
+                os.unlink(temp)
+        raise
+
+
 def write_parallel(pairs: Iterable[SentencePair], source_path, target_path) -> int:
     """Write pairs to the two-file format. Returns the number of pairs written.
 
     Text that would not read back unchanged is rejected with UnwritableField:
     an LF would silently break the alignment, and a trailing CR would be
-    stripped as part of a CRLF ending. A CR inside the text is kept.
+    stripped as part of a CRLF ending. A CR inside the text is kept. Both
+    files are replaced whole, and only once every pair is written.
     """
     count = 0
     try:
-        with open(source_path, "w", encoding="utf-8", newline="") as src_fh, open(
-            target_path, "w", encoding="utf-8", newline=""
-        ) as tgt_fh:
+        with atomic_write(source_path, target_path) as (src_fh, tgt_fh):
             for pair in pairs:
                 _check_writable(pair)
                 src_fh.write(pair.source + "\n")
@@ -158,10 +193,11 @@ def write_parallel(pairs: Iterable[SentencePair], source_path, target_path) -> i
 
 def write_tsv(pairs: Iterable[SentencePair], path) -> int:
     """Write pairs as TSV (source TAB target). Fields are checked as in
-    ``write_parallel``, and a TAB in a field is rejected too."""
+    ``write_parallel``, and a TAB in a field is rejected too. The file is
+    replaced whole."""
     count = 0
     try:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
+        with atomic_write(path) as (fh,):
             for pair in pairs:
                 _check_writable(pair, forbid_tab=True)
                 fh.write(pair.source + "\t" + pair.target + "\n")

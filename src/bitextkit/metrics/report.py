@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Optional, Sequence
 
 from ..corpus_io import read_lines
 from ..exceptions import EmptyCorpus, LineCountMismatch
@@ -66,6 +66,32 @@ def score_corpus(
     )
 
 
+def read_references(hyp_lines: Sequence[str], hyp_path, ref_paths) -> list:
+    """Each reference file's lines, checked to align with ``hyp_lines`` (read from ``hyp_path``)."""
+    ref_corpora = []
+    for ref_path in ref_paths:
+        ref_lines = read_lines(ref_path)
+        if len(ref_lines) != len(hyp_lines):
+            raise LineCountMismatch(len(hyp_lines), len(ref_lines), context=f"{hyp_path} / {ref_path}")
+        ref_corpora.append(ref_lines)
+    if not hyp_lines:
+        raise EmptyCorpus(f"{hyp_path} is empty")
+    return ref_corpora
+
+
+def score_lines(hyp_lines: Sequence[str], ref_corpora: list, split, lowercase: bool, tokens: Optional[list] = None) -> MetricReport:
+    """Score ``hyp_lines`` against the line-aligned ``ref_corpora``, split by ``split``.
+
+    ``lowercase`` folds case before splitting, never after: the tokenizer
+    reads case, so it splits "casa. Luego" but not "casa. luego". Otherwise
+    ``tokens`` (the hypotheses, then each reference corpus, already split)
+    are scored when given.
+    """
+    if lowercase or tokens is None:
+        tokens = [[split(line.lower() if lowercase else line) for line in lines] for lines in (hyp_lines, *ref_corpora)]
+    return score_corpus(tokens[0], [[ref[i] for ref in tokens[1:]] for i in range(len(tokens[0]))])
+
+
 def score_report(
     hyp_path,
     ref_paths,
@@ -83,29 +109,10 @@ def score_report(
     if isinstance(ref_paths, (str, bytes)) or hasattr(ref_paths, "__fspath__"):
         ref_paths = [ref_paths]
     hyp_lines = read_lines(hyp_path)
-    ref_corpora = []
-    for ref_path in ref_paths:
-        ref_lines = read_lines(ref_path)
-        if len(ref_lines) != len(hyp_lines):
-            raise LineCountMismatch(
-                len(hyp_lines), len(ref_lines), context=f"{hyp_path} / {ref_path}"
-            )
-        ref_corpora.append(ref_lines)
-    if not hyp_lines:
-        raise EmptyCorpus(f"{hyp_path} is empty")
-
-    if lowercase:
-        hyp_lines = [line.lower() for line in hyp_lines]
-        ref_corpora = [[line.lower() for line in ref_lines] for ref_lines in ref_corpora]
-
+    ref_corpora = read_references(hyp_lines, hyp_path, ref_paths)
     if tokenized_input:
         split = str.split
     else:
         rules = resolve_rules(lang)
         split = lambda line: tokenize(line, rules)  # noqa: E731
-
-    hypotheses = [split(line) for line in hyp_lines]
-    references = [
-        [split(ref_lines[i]) for ref_lines in ref_corpora] for i in range(len(hyp_lines))
-    ]
-    return score_corpus(hypotheses, references)
+    return score_lines(hyp_lines, ref_corpora, split, lowercase)

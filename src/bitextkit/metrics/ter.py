@@ -5,10 +5,10 @@ most ``max_shift_size`` words) to a position where it matches the
 reference, choosing at each step the shift that most reduces the word-level
 edit distance and stopping when no shift reduces it further. Each shift
 costs one edit; the remaining insertions, deletions, and substitutions come
-from a final dynamic-programming pass. With several references, the
-reference yielding the fewest edits is used while the denominator is the
-average reference length, so the rate can exceed 1 (or 100 when rendered
-as a percentage).
+from a backtrace over the bit-parallel DP columns of the final hypothesis.
+With several references, the reference yielding the fewest edits is used
+while the denominator is the average reference length, so the rate can
+exceed 1 (or 100 when rendered as a percentage).
 """
 
 from __future__ import annotations
@@ -52,33 +52,38 @@ class TerScore:
     ref_len: float
 
 
-def _edit_breakdown(hyp: Tokens, ref: Tokens) -> tuple[int, int, int]:
-    """(insertions, deletions, substitutions) from a full DP backtrace.
+def _prefix_columns(ctx: tuple, start_column: tuple, hyp: tuple) -> list:
+    """The ``(vp, vn, score)`` column of every prefix of ``hyp``, the empty
+    prefix first."""
+    columns = [start_column]
+    for word in hyp:
+        columns.append(advance(ctx, columns[-1], (word,)))
+    return columns
 
-    Ties prefer the diagonal, then deleting from the hypothesis, then
-    inserting, which keeps the breakdown deterministic.
+
+def _edit_breakdown(hyp: tuple, ref: Tokens, columns: list) -> tuple[int, int, int]:
+    """(insertions, deletions, substitutions) by a backtrace over the prefix
+    ``columns`` of ``hyp``.
+
+    A column encodes its DP cells as steps: the distance from ``hyp[:i]``
+    to ``ref[:j]`` is ``i`` plus the up-steps minus the down-steps below
+    bit ``j``. Ties prefer the diagonal, then deleting from the hypothesis,
+    then inserting, which keeps the breakdown deterministic.
     """
-    n, m = len(hyp), len(ref)
-    dist = [[0] * (m + 1) for _ in range(n + 1)]
-    for i in range(n + 1):
-        dist[i][0] = i
-    for j in range(m + 1):
-        dist[0][j] = j
-    for i in range(1, n + 1):
-        for j in range(1, m + 1):
-            dist[i][j] = min(
-                dist[i - 1][j - 1] + (hyp[i - 1] != ref[j - 1]),
-                dist[i - 1][j] + 1,
-                dist[i][j - 1] + 1,
-            )
+
+    def cell(i: int, j: int) -> int:
+        below = (1 << j) - 1
+        return i + (columns[i][0] & below).bit_count() - (columns[i][1] & below).bit_count()
+
     ins = dels = subs = 0
-    i, j = n, m
+    i, j = len(hyp), len(ref)
     while i > 0 or j > 0:
-        if i > 0 and j > 0 and dist[i][j] == dist[i - 1][j - 1] + (hyp[i - 1] != ref[j - 1]):
-            if hyp[i - 1] != ref[j - 1]:
-                subs += 1
+        here = cell(i, j)
+        mismatch = i > 0 and j > 0 and hyp[i - 1] != ref[j - 1]
+        if i > 0 and j > 0 and here == cell(i - 1, j - 1) + mismatch:
+            subs += mismatch
             i, j = i - 1, j - 1
-        elif i > 0 and dist[i][j] == dist[i - 1][j] + 1:
+        elif i > 0 and here == cell(i - 1, j) + 1:
             dels += 1
             i -= 1
         else:
@@ -87,17 +92,12 @@ def _edit_breakdown(hyp: Tokens, ref: Tokens) -> tuple[int, int, int]:
     return ins, dels, subs
 
 
-def _best_shift(
-    hyp: tuple, ctx: tuple, start_column: tuple, index: dict, max_shift_size: int
-) -> tuple[int, tuple] | None:
-    """The candidate rearrangement with the lowest edit distance, or None.
+def _best_shift(hyp: tuple, ctx: tuple, columns: list, index: dict, max_shift_size: int) -> tuple:
+    """``(distance, candidate)`` of the best rearrangement, or ``(None, None)``.
 
     A candidate agrees with ``hyp`` on its first ``min(start, dest)``
-    words, so its distance resumes from the cached column of that prefix.
+    words, so its distance resumes from the prefix column of that length.
     """
-    columns = [start_column]
-    for word in hyp:
-        columns.append(advance(ctx, columns[-1], (word,)))
     best_dist = None
     best_hyp = None
     seen = {hyp}
@@ -119,25 +119,24 @@ def _best_shift(
                 if best_dist is None or dist < best_dist:
                     best_dist = dist
                     best_hyp = candidate
-    if best_hyp is None:
-        return None
     return best_dist, best_hyp
 
 
 def _edits_against(hyp: Tokens, ref: Tokens, shifts: bool, max_shift_size: int) -> EditCounts:
+    ctx, start_column = edit_state(ref)
     current = tuple(hyp)
+    columns = _prefix_columns(ctx, start_column, current)
     n_shifts = 0
-    if shifts:
-        ctx, start_column = edit_state(ref)
-        current_dist = advance(ctx, start_column, current)[2]
-        index = ngram_positions(ref, max_shift_size) if current_dist else {}
-        while current_dist > 0:
-            found = _best_shift(current, ctx, start_column, index, max_shift_size)
-            if found is None or found[0] >= current_dist:
+    if shifts and columns[-1][2]:
+        index = ngram_positions(ref, max_shift_size)
+        while columns[-1][2] > 0:
+            dist, candidate = _best_shift(current, ctx, columns, index, max_shift_size)
+            if candidate is None or dist >= columns[-1][2]:
                 break
-            current_dist, current = found
+            current = candidate
+            columns = _prefix_columns(ctx, start_column, current)
             n_shifts += 1
-    ins, dels, subs = _edit_breakdown(current, ref)
+    ins, dels, subs = _edit_breakdown(current, ref, columns)
     return EditCounts(ins, dels, subs, n_shifts)
 
 

@@ -1,15 +1,15 @@
 """Pipeline configuration and stage orchestration.
 
 A config file is flat ``key = value`` text ('#' starts a comment). Values
-resolve in order: built-in defaults, then the file, then ``BITEXTKIT_<KEY>``
-environment variables, then explicit overrides (the command line). The
-``prep`` task runs stats -> clean -> tokenize over a training corpus; the
-``eval`` task runs detokenize -> score -> cognates over system output.
-Every stage writes a JSON report carrying the tool version and an echo of
-the effective config; a manifest records stage order and input/output
-hashes. The CLI subcommands run the same stage bodies (``clean_and_write``,
-``cognate_report``) and stamp their reports with the same
-``with_provenance``.
+resolve in order: defaults, file, ``BITEXTKIT_<KEY>`` environment
+variables, explicit overrides (the command line). The ``prep`` task runs
+stats -> clean -> tokenize over a training corpus; the ``eval`` task runs
+detokenize -> score -> cognates over system output, reading each input
+once and tokenizing each line once: score and cognates share the lines and
+token lists. Every stage writes a JSON report stamped by ``with_provenance``
+(tool version, effective config), as do the CLI subcommands, which run the
+same stage bodies; a manifest records stage order and input/output hashes.
+Every artifact is replaced whole, so a failed stage leaves none half-written.
 """
 
 from __future__ import annotations
@@ -19,18 +19,18 @@ import json
 import os
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Optional
 
 from . import __version__
 from .cleaner import MODES, clean
 from .cognates import count_examined, extract_cognates, preservation
-from .corpus_io import SentencePair, corpus_stats, read_lines, read_parallel, write_parallel
-from .exceptions import BitextError
+from .corpus_io import SentencePair, atomic_write, corpus_stats, read_lines, read_parallel, write_parallel
+from .exceptions import BitextError, LineCountMismatch
 from .langid import load_model
-from .metrics import score_report
-from .tokenizer import TokenizerRules, detokenize, resolve_rules, tokenize
+from .metrics.report import read_references, score_lines
+from .tokenizer import detokenize, resolve_rules, tokenize
 
 ENV_PREFIX = "BITEXTKIT_"
 
@@ -191,8 +191,8 @@ def _sha256(path) -> str:
 
 
 def dump_json(path, payload: dict) -> None:
-    """Write ``payload`` as indented JSON with sorted keys and a final LF."""
-    with open(path, "w", encoding="utf-8") as fh:
+    """Write ``payload`` as indented JSON with sorted keys and a final LF, replacing the file whole."""
+    with atomic_write(path) as (fh,):
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -299,19 +299,6 @@ def cognate_report(
     return found, preservation(found, system_tokens, threshold=threshold, examined=examined).to_dict()
 
 
-def _tokenized(pairs, rules_src: TokenizerRules, rules_tgt: TokenizerRules) -> list:
-    return [
-        SentencePair(
-            p.index,
-            " ".join(tokenize(p.source, rules_src)),
-            " ".join(tokenize(p.target, rules_tgt)),
-            p.src_lang,
-            p.tgt_lang,
-        )
-        for p in pairs
-    ]
-
-
 def _run_prep(config: PipelineConfig, out: Path, manifest: _Manifest) -> None:
     with _stage("stats_before"):
         pairs = list(read_parallel(config.source, config.target, config.src_lang, config.tgt_lang))
@@ -338,7 +325,10 @@ def _run_prep(config: PipelineConfig, out: Path, manifest: _Manifest) -> None:
         rules_tgt = resolve_rules(config.tgt_lang, config.src_lang)
         tokenized_src = out / f"tokenized.{config.src_lang}"
         tokenized_tgt = out / f"tokenized.{config.tgt_lang}"
-        tokenized = _tokenized(kept, rules_src, rules_tgt)
+        tokenized = [
+            replace(p, source=" ".join(tokenize(p.source, rules_src)), target=" ".join(tokenize(p.target, rules_tgt)))
+            for p in kept
+        ]
         write_parallel(tokenized, tokenized_src, tokenized_tgt)
         body = {"lines": len(tokenized), "source_rules": rules_src.lang, "target_rules": rules_tgt.lang}
         report_path = _write_report(out / "tokenize_report.json", config, body)
@@ -350,29 +340,32 @@ def _run_eval(config: PipelineConfig, out: Path, manifest: _Manifest) -> None:
 
     detok_path = out / "detokenized.hyp"
     with _stage("detokenize"):
-        hyp_lines = read_lines(config.hyp)
-        with open(detok_path, "w", encoding="utf-8", newline="") as fh:
-            for line in hyp_lines:
-                fh.write(detokenize(line.split(), rules) + "\n")
-        report_path = _write_report(out / "detokenize_report.json", config, {"lines": len(hyp_lines), "rules": rules.lang})
+        system = [detokenize(line.split(), rules) for line in read_lines(config.hyp)]
+        with atomic_write(detok_path) as (fh,):
+            fh.writelines(line + "\n" for line in system)
+        report_path = _write_report(out / "detokenize_report.json", config, {"lines": len(system), "rules": rules.lang})
         manifest.record("detokenize", [config.hyp], [detok_path, report_path])
 
+    split = lambda line: tokenize(line, rules)  # noqa: E731
     with _stage("score"):
-        report = score_report(
-            detok_path,
-            [config.ref],
-            lang=rules.lang,
-            tokenized_input=False,
-            lowercase=config.lowercase,
-        )
+        [references] = read_references(system, detok_path, [config.ref])
+        system_tokens = [split(line) for line in system]
+        ref_tokens = [split(line) for line in references]
+        report = score_lines(system, [references], split, config.lowercase, [system_tokens, ref_tokens])
+        del system, references
         report_path = _write_report(out / "score.json", config, report.to_dict())
         manifest.record("score", [detok_path, config.ref], [report_path])
 
-    # the score stage has checked that system output and reference align
     with _stage("cognates"):
+        sources = read_lines(config.source)
+        if len(sources) != len(ref_tokens):
+            raise LineCountMismatch(len(sources), len(ref_tokens), context=f"{config.source} / {config.ref}")
         src_rules = resolve_rules(config.src_lang, config.lang)
-        pairs = _tokenized(read_parallel(config.source, config.ref, config.src_lang, config.lang), src_rules, rules)
-        system_tokens = [tokenize(line, rules) for line in read_lines(detok_path)]
+        pairs = [
+            SentencePair(i, " ".join(tokenize(source, src_rules)), " ".join(ref), config.src_lang, config.lang)
+            for i, (source, ref) in enumerate(zip(sources, ref_tokens))
+        ]
+        del sources, ref_tokens
         _, body = cognate_report(pairs, system_tokens, config.cognate_threshold, config.cognate_min_len, config.workers)
         report_path = _write_report(out / "cognates.json", config, body)
         manifest.record("cognates", [config.source, config.ref, detok_path], [report_path])

@@ -162,6 +162,26 @@ def test_clean_no_clean_reports_unwritable_text(runner, tmp_path):
     assert (tmp_path / "p.es").read_bytes() == src.read_bytes()
 
 
+def test_clean_failure_writes_neither_output(runner, tmp_path):
+    """The second source line ends in a CR, which cannot be written: the
+    command exits 2, creates no output, and leaves earlier outputs as they
+    were."""
+    src, tgt = tmp_path / "c.es", tmp_path / "c.ca"
+    src.write_bytes(b"el gato\nla casa\r\r\n")
+    tgt.write_bytes(b"el gat\nla casa\n")
+    args = ["clean", "--src", str(src), "--tgt", str(tgt), "--src-lang", "es", "--tgt-lang", "ca", "--no-clean"]
+    result = runner.invoke(cli, args + ["--out-prefix", str(tmp_path / "out")])
+    assert result.exit_code == 2
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.ca", "c.es"]
+    (tmp_path / "old.es").write_bytes(b"viejo\n")
+    (tmp_path / "old.ca").write_bytes(b"vell\n")
+    result = runner.invoke(cli, args + ["--out-prefix", str(tmp_path / "old")])
+    assert result.exit_code == 2
+    assert (tmp_path / "old.es").read_bytes() == b"viejo\n"
+    assert (tmp_path / "old.ca").read_bytes() == b"vell\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.ca", "c.es", "old.ca", "old.es"]
+
+
 def test_clean_same_langs_is_validation_error(runner, corpus, model_path, tmp_path):
     src, tgt = corpus
     result = runner.invoke(

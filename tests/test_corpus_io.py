@@ -1,3 +1,7 @@
+import os
+import stat
+import threading
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -130,6 +134,52 @@ class TestWriteParallel:
             write_tsv(_pairs(("con\ttab", "x")), tmp_path / "o.tsv")
         with pytest.raises(UnwritableField, match="TAB"):
             write_tsv(_pairs(("x", "con\ttab")), tmp_path / "o.tsv")
+
+
+class TestWholeOrNothing:
+    def test_pairs_raising_midway_leave_no_file(self, tmp_path):
+        def pairs():
+            yield from _pairs(("uno", "un"))
+            raise RuntimeError("source went away")
+
+        with pytest.raises(RuntimeError):
+            write_parallel(pairs(), tmp_path / "o.src", tmp_path / "o.tgt")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failed_write_keeps_previous_files(self, tmp_path):
+        write_parallel(_pairs(("viejo", "vell")), tmp_path / "o.src", tmp_path / "o.tgt")
+        write_tsv(_pairs(("viejo", "vell")), tmp_path / "o.tsv")
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        with pytest.raises(UnwritableField):
+            write_parallel(_pairs(("nuevo", "nou"), ("malo\r", "dolent")), tmp_path / "o.src", tmp_path / "o.tgt")
+        with pytest.raises(UnwritableField):
+            write_tsv(_pairs(("nuevo", "nou"), ("malo", "dol\tent")), tmp_path / "o.tsv")
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+    def test_new_files_get_the_mode_open_gives(self, tmp_path):
+        (tmp_path / "plain").open("w").close()
+        write_parallel(_pairs(("a", "b")), tmp_path / "o.src", tmp_path / "o.tgt")
+        write_tsv(_pairs(("a", "b")), tmp_path / "o.tsv")
+        mode = (tmp_path / "plain").stat().st_mode
+        assert [(tmp_path / name).stat().st_mode for name in ("o.src", "o.tgt", "o.tsv")] == [mode] * 3
+
+    def test_symlink_and_pipe_are_written_through(self, tmp_path):
+        target = tmp_path / "target.tsv"
+        target.write_bytes(b"old\n")
+        (tmp_path / "link.tsv").symlink_to(target)
+        write_tsv(_pairs(("a", "b")), tmp_path / "link.tsv")
+        assert (tmp_path / "link.tsv").is_symlink()
+        assert target.read_bytes() == b"a\tb\n"
+        fifo = tmp_path / "pipe"
+        os.mkfifo(fifo)
+        received = []
+        reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
+        reader.start()
+        write_tsv(_pairs(("a", "b")), fifo)
+        reader.join(timeout=10)
+        assert not reader.is_alive()
+        assert received == [b"a\tb\n"]
+        assert stat.S_ISFIFO(fifo.stat().st_mode)
 
 
 @settings(max_examples=60)

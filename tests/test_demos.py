@@ -16,10 +16,11 @@ def test_demos_are_found():
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
 def test_demo_runs(demo, tmp_path):
     """Each demo runs as a script against the source tree; its temporary
-    files go under ``tmp_path``."""
+    files go under ``tmp_path``, and it removes them before it ends."""
     env = dict(os.environ, TMPDIR=str(tmp_path))
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(REPO / "src"), env.get("PYTHONPATH")]))
     result = subprocess.run(
         [sys.executable, str(demo)], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60
     )
     assert result.returncode == 0, result.stderr
+    assert sorted(p.name for p in tmp_path.glob("tmp*")) == []

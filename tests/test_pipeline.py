@@ -1,11 +1,14 @@
 import json
+import sys
+from collections import Counter
 
 import pytest
 from click.testing import CliRunner
 
+from bitextkit import corpus_io, tokenizer
 from bitextkit.cli import cli
 from bitextkit.langid import save_model
-from bitextkit.pipeline import ConfigParseError, parse_config_file, run_pipeline, validate_config
+from bitextkit.pipeline import ConfigParseError, StageFailure, dump_json, parse_config_file, run_pipeline, validate_config
 
 from synth import synthetic_noisy_corpus
 
@@ -363,3 +366,73 @@ def test_eval_scores_with_the_rules_detokenize_resolved(tmp_path):
     score = json.loads((out / "score.json").read_text(encoding="utf-8"))
     assert score["hyp_len"] == 10
     assert score["bleu"] == 100.0
+
+
+def _eval_config(tmp_path, source_lines, ref_lines, hyp_lines, **overrides):
+    paths = {"source": tmp_path / "src.es", "ref": tmp_path / "ref.ca", "hyp": tmp_path / "hyp.ca"}
+    for key, lines in (("source", source_lines), ("ref", ref_lines), ("hyp", hyp_lines)):
+        paths[key].write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    values = {"task": "eval", "src_lang": "es", "tgt_lang": "ca", "out_dir": tmp_path / "out", **paths, **overrides}
+    config, errors = validate_config(overrides=values, env={})
+    assert errors == []
+    return config
+
+
+def _record_calls(monkeypatch, original, calls: list) -> None:
+    """Route every package reference to ``original`` through a wrapper that
+    appends each call's first argument to ``calls``."""
+
+    def wrapper(*args, **kwargs):
+        calls.append(args[0])
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("bitextkit"):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, wrapper)
+
+
+def test_eval_reads_each_input_once_and_tokenizes_each_line_once(tmp_path, monkeypatch):
+    hyp = [" ".join(tokenizer.tokenize(line, tokenizer.resolve_rules("ca"))) for line in PROSE_CA]
+    config = _eval_config(tmp_path, PROSE_ES, PROSE_CA, hyp)
+    reads, tokenized = [], []
+    _record_calls(monkeypatch, corpus_io.read_lines, reads)
+    _record_calls(monkeypatch, tokenizer.tokenize, tokenized)
+    run_pipeline(config)
+    assert sorted(map(str, reads)) == sorted([config.source, config.ref, config.hyp])
+    detok = (tmp_path / "out" / "detokenized.hyp").read_text(encoding="utf-8").splitlines()
+    assert detok == PROSE_CA
+    assert Counter(tokenized) == Counter(PROSE_ES + PROSE_CA + detok)
+
+
+@pytest.mark.parametrize("lowercase, hyp_len", [(False, 6), (True, 5)])
+def test_eval_lowercase_tokenizes_the_folded_line(tmp_path, lowercase, hyp_len):
+    """The tokenizer reads case: "casa. Luego" splits the period off, and
+    "casa. luego" keeps "casa." whole. Scoring folds case first."""
+    line = "Vino a casa. Luego salió"
+    config = _eval_config(tmp_path, [line], [line], [line], lang="es", lowercase=str(lowercase).lower())
+    run_pipeline(config)
+    assert json.loads((tmp_path / "out" / "score.json").read_text(encoding="utf-8"))["hyp_len"] == hyp_len
+
+
+def test_eval_line_count_mismatches_fail_their_stages(tmp_path):
+    config = _eval_config(tmp_path, ["el gato negro", "la casa"], ["el gat negre", "la casa"], ["el gat negre"])
+    with pytest.raises(StageFailure) as failure:
+        run_pipeline(config)
+    detok = tmp_path / "out" / "detokenized.hyp"
+    assert str(failure.value) == f"stage 'score' failed: {detok} / {config.ref}: line counts differ: 1 vs 2"
+    config = _eval_config(tmp_path, ["el gato negro"], ["el gat negre", "la casa"], ["el gat negre", "la casa"])
+    with pytest.raises(StageFailure) as failure:
+        run_pipeline(config)
+    assert str(failure.value) == f"stage 'cognates' failed: {config.source} / {config.ref}: line counts differ: 1 vs 2"
+
+
+def test_dump_json_failure_keeps_the_previous_file(tmp_path):
+    path = tmp_path / "report.json"
+    dump_json(path, {"a": 1})
+    before = path.read_bytes()
+    with pytest.raises(TypeError):
+        dump_json(path, {"a": 2, "b": object()})
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["report.json"]

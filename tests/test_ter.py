@@ -3,6 +3,7 @@ import time
 
 import pytest
 
+from bitextkit.cognates import levenshtein
 from bitextkit.metrics import ter, ter_corpus
 
 from oracles import edit_distance_matrix, ter_edits_greedy
@@ -160,3 +161,31 @@ def test_long_segment_finishes():
     assert time.perf_counter() - started < 3.0
     assert score.edits.insertions == score.edits.deletions == score.edits.substitutions == 0
     assert 1 <= score.edits.shifts <= 6
+
+
+def test_breakdown_equals_full_dp_oracle_on_long_random_pairs():
+    """Without shifts the edit counts come from the backtrace alone. Up to
+    300 words, so the reference masks span several 64-bit machine words."""
+    rng = random.Random(36)
+    long_refs = 0
+    for _ in range(40):
+        vocab = [f"w{k}" for k in range(rng.choice([2, 5, 40]))]
+        ref = [rng.choice(vocab) for _ in range(rng.randint(0, 300))]
+        hyp = [w if rng.random() < 0.8 else rng.choice(vocab) for w in ref if rng.random() < 0.9]
+        hyp += [rng.choice(vocab) for _ in range(rng.randint(0, 20))]
+        long_refs += len(ref) > 64
+        e = ter(hyp, [ref], shifts=False).edits
+        assert (e.insertions, e.deletions, e.substitutions, e.shifts) == ter_edits_greedy(hyp, ref, 0), (hyp, ref)
+    assert long_refs >= 20
+
+
+def test_no_shift_long_segment_finishes():
+    """2,000 words without shifts: the backtrace reads the kernel's columns
+    instead of filling a 2,001 x 2,001 table (about 3 s)."""
+    rng = random.Random(37)
+    ref = [f"w{rng.randrange(300)}" for _ in range(2000)]
+    hyp = [w if rng.random() < 0.9 else "x" for w in ref]
+    started = time.perf_counter()
+    score = ter(hyp, [ref], shifts=False)
+    assert time.perf_counter() - started < 0.5
+    assert score.edits.total == levenshtein(hyp, ref)
