@@ -24,6 +24,10 @@ from .parallel import parallel_map
 
 MODES = ("per_side", "concat", "both")
 
+# Pairs decided together: enough that the n-gram walk runs on long arrays,
+# few enough that its temporary arrays stay under a megabyte.
+_CHUNK_PAIRS = 128
+
 
 class Reason(str, Enum):
     KEPT = "Kept"
@@ -83,65 +87,71 @@ _WORKER_MODEL: Optional[LangIdModel] = None
 _WORKER_MODE: str = "both"
 
 
-def _init_worker(model: LangIdModel, mode: str) -> None:
+def _init_worker(model: Optional[LangIdModel], mode: str) -> None:
     global _WORKER_MODEL, _WORKER_MODE
     _WORKER_MODEL = model
     _WORKER_MODE = mode
 
 
-def _decide(pair: SentencePair, model: LangIdModel, mode: str) -> CleaningDecision:
-    if not pair.source.strip() or not pair.target.strip():
-        return CleaningDecision(pair.index, False, Reason.EMPTY_SIDE)
+def _decide_chunk(pairs: Sequence[SentencePair], model: LangIdModel, mode: str) -> list:
+    """Decide a chunk of pairs from two batched evidence computations: one
+    over both sides of every pair, one over the spaces joining them."""
+    decisions = [CleaningDecision(pair.index, False, Reason.EMPTY_SIDE) for pair in pairs]
+    live = [i for i, pair in enumerate(pairs) if pair.source.strip() and pair.target.strip()]
 
     # The concatenation's n-gram counts are exactly the per-side counts plus
     # the grams straddling the joining space, so one extraction per side
-    # serves both the concat and the per-side checks.
-    src_norm = normalize_text(pair.source)
-    tgt_norm = normalize_text(pair.target)
-    languages = model.languages
-    ev_src = evidence(model, src_norm)
-    ev_tgt = evidence(model, tgt_norm)
-
-    claimed = {pair.src_lang, pair.tgt_lang}
-    predicted_concat = None
-    if mode in ("concat", "both"):
-        concat_scores = model.log_prior.copy()
-        for part in (ev_src, ev_tgt, boundary_evidence(model, src_norm, tgt_norm)):
-            if part is not None:
-                concat_scores = concat_scores + part
-        predicted_concat = languages[int(np.argmax(concat_scores))]
-        if predicted_concat not in claimed:
-            return CleaningDecision(
-                pair.index, False, Reason.CONCAT_MISMATCH, predicted_concat=predicted_concat
-            )
-        if mode == "concat":
-            return CleaningDecision(
-                pair.index, True, Reason.KEPT, predicted_concat=predicted_concat
-            )
-
+    # serves both the concat and the per-side checks. No evidence reads 0,
+    # and adding 0.0 leaves the prior as it is.
+    src_norm = [normalize_text(pairs[i].source) for i in live]
+    tgt_norm = [normalize_text(pairs[i].target) for i in live]
+    side, _ = evidence(model, src_norm + tgt_norm)
+    ev_src, ev_tgt = side[: len(live)], side[len(live) :]
     prior = model.log_prior
-    predicted_source = languages[int(np.argmax(prior if ev_src is None else prior + ev_src))]
-    predicted_target = languages[int(np.argmax(prior if ev_tgt is None else prior + ev_tgt))]
-    if predicted_source == predicted_target:
-        reason = Reason.SAME_LANGUAGE
-    elif predicted_source != pair.src_lang:
-        reason = Reason.SOURCE_MISMATCH
-    elif predicted_target != pair.tgt_lang:
-        reason = Reason.TARGET_MISMATCH
-    else:
-        reason = Reason.KEPT
-    return CleaningDecision(
-        pair.index,
-        reason is Reason.KEPT,
-        reason,
-        predicted_source=predicted_source,
-        predicted_target=predicted_target,
-        predicted_concat=predicted_concat,
-    )
+    best_src = np.argmax(prior + ev_src, axis=1).tolist()
+    best_tgt = np.argmax(prior + ev_tgt, axis=1).tolist()
+    best_concat = None
+    if mode in ("concat", "both"):
+        ev_boundary, _ = boundary_evidence(model, src_norm, tgt_norm)
+        best_concat = np.argmax(prior + ev_src + ev_tgt + ev_boundary, axis=1).tolist()
+
+    languages = model.languages
+    for row, i in enumerate(live):
+        pair = pairs[i]
+        predicted_concat = None
+        if best_concat is not None:
+            predicted_concat = languages[best_concat[row]]
+            if predicted_concat not in (pair.src_lang, pair.tgt_lang):
+                decisions[i] = CleaningDecision(
+                    pair.index, False, Reason.CONCAT_MISMATCH, predicted_concat=predicted_concat
+                )
+                continue
+            if mode == "concat":
+                decisions[i] = CleaningDecision(pair.index, True, Reason.KEPT, predicted_concat=predicted_concat)
+                continue
+        predicted_source = languages[best_src[row]]
+        predicted_target = languages[best_tgt[row]]
+        if predicted_source == predicted_target:
+            reason = Reason.SAME_LANGUAGE
+        elif predicted_source != pair.src_lang:
+            reason = Reason.SOURCE_MISMATCH
+        elif predicted_target != pair.tgt_lang:
+            reason = Reason.TARGET_MISMATCH
+        else:
+            reason = Reason.KEPT
+        decisions[i] = CleaningDecision(
+            pair.index,
+            reason is Reason.KEPT,
+            reason,
+            predicted_source=predicted_source,
+            predicted_target=predicted_target,
+            predicted_concat=predicted_concat,
+        )
+    return decisions
 
 
-def _decide_in_worker(pair: SentencePair) -> CleaningDecision:
-    return _decide(pair, _WORKER_MODEL, _WORKER_MODE)
+def _decide_in_worker(pairs: Sequence[SentencePair]) -> list:
+    return _decide_chunk(pairs, _WORKER_MODEL, _WORKER_MODE)
 
 
 def clean(
@@ -169,13 +179,13 @@ def clean(
             if code not in known:
                 raise UnknownLanguage(code, model.languages)
 
-    decisions = parallel_map(
-        _decide_in_worker,
-        pairs,
-        workers=workers,
-        initializer=_init_worker,
-        initargs=(model, mode),
-    )
+    chunks = [pairs[start : start + _CHUNK_PAIRS] for start in range(0, len(pairs), _CHUNK_PAIRS)]
+    try:
+        decided = parallel_map(_decide_in_worker, chunks, workers=workers, initializer=_init_worker, initargs=(model, mode))
+    finally:
+        # an in-process map sets the worker state here; it need not outlive the call
+        _init_worker(None, "both")
+    decisions = [decision for chunk in decided for decision in chunk]
 
     kept = []
     tally: dict = {}

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import json
 import sys
+from contextlib import nullcontext
+from typing import Iterable
 
 import click
 
@@ -164,29 +166,40 @@ def clean_cmd(src_path, tgt_path, src_lang, tgt_lang, model_path, mode, out_pref
     click.echo(f"kept {len(kept)}/{len(pairs)} pairs -> {out_src}, {out_tgt}", err=True)
 
 
+def _write_lines(output_path: str, lines: Iterable[str]) -> None:
+    """Write lines to standard output for ``-``, else to a file that
+    appears whole or not at all."""
+    if output_path == "-":
+        out = click.get_text_stream("stdout", encoding="utf-8")
+        context = nullcontext((out,))
+    else:
+        context = atomic_write(output_path)
+    with context as (fh,):
+        for line in lines:
+            fh.write(line + "\n")
+
+
 @cli.command("tokenize")
 @click.option("--lang", required=True)
 @click.option("--fallback-of", "fallback_of", default=None, help="Paired language whose rules apply when --lang is unsupported.")
 @click.option("--aggressive-hyphen", is_flag=True)
 @click.option("--input", "input_file", type=click.File("rb"), default="-")
-@click.option("--output", "output_file", type=click.File("w", encoding="utf-8"), default="-")
-def tokenize_cmd(lang, fallback_of, aggressive_hyphen, input_file, output_file):
+@click.option("--output", "output_path", type=click.Path(dir_okay=False, allow_dash=True), default="-")
+def tokenize_cmd(lang, fallback_of, aggressive_hyphen, input_file, output_path):
     """Tokenize lines (stdin to stdout by default)."""
     rules = resolve_rules(lang, fallback_of, aggressive_hyphen=aggressive_hyphen)
-    for text in decode_lines(input_file):
-        output_file.write(" ".join(tokenize(text, rules)) + "\n")
+    _write_lines(output_path, (" ".join(tokenize(text, rules)) for text in decode_lines(input_file)))
 
 
 @cli.command("detokenize")
 @click.option("--lang", required=True)
 @click.option("--fallback-of", "fallback_of", default=None)
 @click.option("--input", "input_file", type=click.File("rb"), default="-")
-@click.option("--output", "output_file", type=click.File("w", encoding="utf-8"), default="-")
-def detokenize_cmd(lang, fallback_of, input_file, output_file):
+@click.option("--output", "output_path", type=click.Path(dir_okay=False, allow_dash=True), default="-")
+def detokenize_cmd(lang, fallback_of, input_file, output_path):
     """Reverse Moses-style tokenization (stdin to stdout by default)."""
     rules = resolve_rules(lang, fallback_of)
-    for text in decode_lines(input_file):
-        output_file.write(detokenize(text.split(), rules) + "\n")
+    _write_lines(output_path, (detokenize(text.split(), rules) for text in decode_lines(input_file)))
 
 
 @cli.command("score")

@@ -13,6 +13,7 @@ UTF-8 raises EncodingError with the byte offset of the bad data.
 from __future__ import annotations
 
 import os
+import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import BinaryIO, Iterable, Iterator, Optional, TextIO
@@ -136,6 +137,20 @@ def _check_writable(pair: SentencePair, forbid_tab: bool = False) -> None:
             raise UnwritableField(pair.index, side, "contains a TAB (not representable in TSV)")
 
 
+def _open_in_place(path) -> TextIO:
+    """Open a device, a pipe or a path under ``/dev/`` for writing.
+    ``/dev/stdout`` and ``/dev/stderr`` write through a copy of their
+    descriptor, so the text lands where that stream has got to, as it would
+    through a pipe, even when a shell redirected the stream to a regular
+    file."""
+    fd = {"/dev/stdout": 1, "/dev/stderr": 2}.get(os.path.abspath(path))
+    if fd is None:
+        return open(path, "w", encoding="utf-8", newline="")
+    sys.stdout.flush()
+    sys.stderr.flush()
+    return open(os.dup(fd), "w", encoding="utf-8", newline="")
+
+
 @contextmanager
 def atomic_write(*paths) -> Iterator[tuple[TextIO, ...]]:
     """Yield one UTF-8 text handle per path (newlines written as given),
@@ -144,18 +159,19 @@ def atomic_write(*paths) -> Iterator[tuple[TextIO, ...]]:
     When the block completes, every temporary file is closed and only then
     moved onto its file. When it raises, the temporary files are removed
     and the files keep what they held. Files get the mode ``open`` would
-    give a new file under the umask. A path naming a device or a pipe
-    (``/dev/null``, ``/dev/stdout``) is written in place instead.
+    give a new file under the umask. A path naming a device or a pipe, and
+    any path under ``/dev/``, is written in place instead.
     """
     files = []  # (file, temporary file or None, handle)
     try:
         for path in paths:
-            final = temp = None
-            if os.path.isfile(path) or not os.path.exists(path):
-                final = os.path.realpath(path)
-                directory, name = os.path.split(final)
-                temp = os.path.join(directory, f".{name}.{os.urandom(6).hex()}.tmp")
-            files.append((final, temp, open(temp or path, "x" if temp else "w", encoding="utf-8", newline="")))
+            if os.path.abspath(path).startswith("/dev/") or (os.path.exists(path) and not os.path.isfile(path)):
+                files.append((None, None, _open_in_place(path)))
+                continue
+            final = os.path.realpath(path)
+            directory, name = os.path.split(final)
+            temp = os.path.join(directory, f".{name}.{os.urandom(6).hex()}.tmp")
+            files.append((final, temp, open(temp, "x", encoding="utf-8", newline="")))
         yield tuple(fh for _, _, fh in files)
         for _, _, fh in files:
             fh.close()

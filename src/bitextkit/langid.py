@@ -5,19 +5,21 @@ extraction, so diacritic-bearing input produces stable features. The model
 is a multinomial naive Bayes over the ``vocab_size`` most frequent n-grams
 of the training seeds, with add-alpha smoothing and line-count priors.
 Classification is deterministic: ties break by the model's language order.
+Evidence is computed for many texts at once, by walking a trie of the
+vocabulary (:class:`GramTrie`) one n-gram length at a time.
 """
 
 from __future__ import annotations
 
 import struct
 import unicodedata
-from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .corpus_io import SentencePair
+from .corpus_io import SentencePair, atomic_write
 from .exceptions import EmptySeed, InsufficientLanguages, ModelFormatError, VersionMismatch
 
 MAGIC = b"LIDM"
@@ -40,6 +42,99 @@ class LangIdModel:
     def __post_init__(self):
         self.log_likelihood.setflags(write=False)
         self.log_prior.setflags(write=False)
+
+    @cached_property
+    def trie(self) -> "GramTrie":
+        """The vocabulary as a trie, built on first use."""
+        return GramTrie(self.vocabulary, self.ngram_range)
+
+
+class GramTrie:
+    """The vocabulary's n-grams as a trie over symbol ids, walked one
+    n-gram length at a time over many texts at once.
+
+    Symbols number the sorted alphabet of the vocabulary's characters
+    1..A; 0 stands for every other character and for the gap after each
+    text, and leads to the dead node. A vocabulary gram is node
+    ``feature + 1``, prefixes outside the vocabulary get the nodes after
+    those, and the dead node comes last. ``trans[offset[node] + symbol]``
+    is the node one symbol on; nodes shorter than the longest gram have a
+    row of ``trans`` each, and all others share the dead row.
+    """
+
+    def __init__(self, vocabulary: Mapping[str, int], ngram_range: tuple[int, int]):
+        self.min_n, self.max_n = ngram_range
+        self.n_features = len(vocabulary)
+        grams = [gram for gram in vocabulary if self.min_n <= len(gram) <= self.max_n]
+        node_of = {"": 0}
+        node_of.update((gram, vocabulary[gram] + 1) for gram in grams)
+        extra = self.n_features + 1
+        for gram in grams:
+            for k in range(1, len(gram)):
+                if gram[:k] not in node_of:
+                    node_of[gram[:k]] = extra
+                    extra += 1
+        self.dead = extra
+        # the alphabet's code points and, past them, one no code point equals
+        self.codes = np.array(sorted({ord(ch) for gram in grams for ch in gram}) + [0xFFFFFFFF], dtype=np.uint32)
+        base = len(self.codes)
+
+        walked = np.fromiter((node for gram, node in node_of.items() if len(gram) < self.max_n), dtype=np.intp)
+        size = (len(walked) + 1) * base
+        self.offset = np.full(self.dead + 1, len(walked) * base, dtype=np.int32 if size < 2**31 else np.int64)
+        self.offset[walked] = np.arange(len(walked)) * base
+        self.trans = np.full(size, self.dead, dtype=np.int32)
+        count = len(node_of) - 1
+        child = np.fromiter(node_of.values(), dtype=np.int32, count=count + 1)[1:]
+        parent = np.fromiter((node_of[gram[:-1]] for gram in node_of if gram), dtype=np.intp, count=count)
+        last = np.fromiter((ord(gram[-1]) for gram in node_of if gram), dtype=np.uint32, count=count)
+        self.trans[self.offset[parent] + np.searchsorted(self.codes, last) + 1] = child
+
+    def _symbols(self, texts: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
+        """The texts' symbols laid end to end, each text followed by a 0,
+        and the span of each text with its 0."""
+        spans = np.fromiter(map(len, texts), dtype=np.intp, count=len(texts)) + 1
+        codes = np.frombuffer(("\0".join(texts) + "\0").encode("utf-32-le", "surrogatepass"), dtype="<u4")
+        at = np.searchsorted(self.codes, codes)
+        syms = (at + 1).astype(np.int32)
+        syms[self.codes[at] != codes] = 0
+        syms[np.cumsum(spans) - 1] = 0
+        return syms, spans
+
+    def evidence(
+        self, log_likelihood: np.ndarray, texts: Sequence[str], spaces: Optional[np.ndarray] = None
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Summed log-likelihoods of the vocabulary n-grams of each text,
+        ``(n_texts, n_languages)``, and the mask of texts with any. With
+        ``spaces``, only grams covering character ``spaces[i]`` of text i
+        count."""
+        syms, spans = self._symbols(texts)
+        text_at = np.repeat(np.arange(len(texts)), spans)
+        pos = np.arange(len(syms), dtype=np.int32)
+        reach = None
+        if spaces is not None:
+            space = (np.cumsum(spans) - spans + spaces)[text_at]
+            pos = pos[pos <= space]
+            reach = space[pos]
+        state = np.zeros(len(pos), dtype=np.int32)
+        sums = np.zeros((len(log_likelihood), len(texts)))
+        has = np.zeros(len(texts), dtype=bool)
+        for n in range(1, self.max_n + 1):
+            state = self.trans[self.offset[state] + syms[pos + (n - 1)]]
+            alive = state != self.dead
+            pos, state = pos[alive], state[alive]
+            if reach is not None:
+                reach = reach[alive]
+            if n >= self.min_n:
+                hit = state <= self.n_features
+                if reach is not None:
+                    hit &= pos + (n - 1) >= reach
+                text_of = text_at[pos[hit]]
+                feats = state[hit] - 1
+                has[text_of] = True
+                for lang, row in enumerate(log_likelihood):
+                    sums[lang] += np.bincount(text_of, weights=row[feats], minlength=len(texts))
+        return sums.T, has
 
 
 @dataclass(frozen=True)
@@ -132,56 +227,30 @@ def train(
     )
 
 
-def _evidence_from_counts(model: LangIdModel, counts: Counter) -> Optional[np.ndarray]:
-    lookup = model.vocabulary.get
-    idx_list = []
-    cnt_list = []
-    for gram, count in counts.items():
-        idx = lookup(gram)
-        if idx is not None:
-            idx_list.append(idx)
-            cnt_list.append(count)
-    if not idx_list:
-        return None
-    idx = np.array(idx_list, dtype=np.intp)
-    cnt = np.array(cnt_list, dtype=np.float64)
-    return model.log_likelihood[:, idx] @ cnt
+def evidence(model: LangIdModel, texts: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
+    """Per-language log-likelihood evidence of each already-normalized text,
+    as an ``(n_texts, n_languages)`` matrix, and a mask of the texts with
+    at least one vocabulary n-gram (the others read 0)."""
+    return model.trie.evidence(model.log_likelihood, texts)
 
 
-def evidence(model: LangIdModel, normalized: str) -> Optional[np.ndarray]:
-    """Per-language log-likelihood evidence of already-normalized text;
-    None when no n-gram hits the vocabulary."""
-    min_n, max_n = model.ngram_range
-    length = len(normalized)
-    counts: Counter = Counter()
-    for n in range(min_n, max_n + 1):
-        counts.update([normalized[i : i + n] for i in range(length - n + 1)])
-    return _evidence_from_counts(model, counts)
-
-
-def boundary_evidence(model: LangIdModel, left: str, right: str) -> Optional[np.ndarray]:
-    """Evidence of the n-grams that straddle the space joining two
+def boundary_evidence(
+    model: LangIdModel, lefts: Sequence[str], rights: Sequence[str]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Evidence of the n-grams that straddle the space joining each pair of
     normalized texts: exactly the grams of ``left + " " + right`` counted
-    by neither side alone."""
-    min_n, max_n = model.ngram_range
-    tail = left[-(max_n - 1) :] if max_n > 1 else ""
-    head = right[: max_n - 1] if max_n > 1 else ""
-    window = tail + " " + head
-    space_at = len(tail)
-    counts: Counter = Counter()
-    for n in range(min_n, max_n + 1):
-        start = max(0, space_at - n + 1)
-        stop = min(space_at, len(window) - n)
-        counts.update([window[i : i + n] for i in range(start, stop + 1)])
-    return _evidence_from_counts(model, counts)
+    by neither side alone. Returned as by :func:`evidence`."""
+    keep = model.ngram_range[1] - 1
+    tails = [left[-keep:] if keep else "" for left in lefts]
+    windows = [tail + " " + right[:keep] for tail, right in zip(tails, rights)]
+    spaces = np.fromiter(map(len, tails), dtype=np.int32, count=len(tails))
+    return model.trie.evidence(model.log_likelihood, windows, spaces)
 
 
 def scores(model: LangIdModel, text: str) -> np.ndarray:
     """Unnormalized per-language log scores (prior + likelihood evidence)."""
-    ev = evidence(model, normalize_text(text))
-    if ev is None:
-        return model.log_prior.copy()
-    return model.log_prior + ev
+    ev, _ = evidence(model, [normalize_text(text)])
+    return model.log_prior + ev[0]
 
 
 def log_posteriors(model: LangIdModel, text: str) -> np.ndarray:
@@ -252,7 +321,8 @@ class _Reader:
 
 
 def save_model(model: LangIdModel, path) -> None:
-    """Write the versioned binary model format (magic ``LIDM``)."""
+    """Write the versioned binary model format (magic ``LIDM``). The file
+    is replaced whole, or not at all."""
     w = _Writer()
     w.raw(MAGIC)
     w.pack("B", FORMAT_VERSION)
@@ -267,8 +337,8 @@ def save_model(model: LangIdModel, path) -> None:
         w.string(gram)
     w.raw(np.ascontiguousarray(model.log_prior, dtype="<f8").tobytes())
     w.raw(np.ascontiguousarray(model.log_likelihood, dtype="<f8").tobytes())
-    with open(path, "wb") as fh:
-        fh.write(b"".join(w.parts))
+    with atomic_write(path) as (fh,):
+        fh.buffer.write(b"".join(w.parts))
 
 
 def load_model(path) -> LangIdModel:

@@ -10,7 +10,7 @@ from __future__ import annotations
 import multiprocessing
 from typing import Callable, Sequence
 
-_CHUNKSIZE = 256
+_MAX_CHUNKSIZE = 256
 
 
 def parallel_map(
@@ -25,5 +25,7 @@ def parallel_map(
         if initializer is not None:
             initializer(*initargs)
         return [fn(item) for item in items]
+    # about four tasks per worker, so that few items still spread over all
+    chunksize = min(_MAX_CHUNKSIZE, -(-len(items) // (4 * workers)))
     with multiprocessing.Pool(workers, initializer=initializer, initargs=initargs) as pool:
-        return list(pool.imap(fn, items, chunksize=_CHUNKSIZE))
+        return list(pool.imap(fn, items, chunksize=chunksize))

@@ -3,10 +3,15 @@ library. These deliberately share no code with the package: n-grams are
 counted by naive list scans, edit distance by a full DP matrix (TER's
 greedy shift search rescores every candidate with one), rank correlation
 by all-pairs counting, RIBES alignment by rescanning both sides for every
-context window, and Levenshtein by plain recursion.
+context window, Levenshtein by plain recursion, and langid evidence by a
+Counter of each text's n-gram strings, one pair at a time.
 """
 
 import math
+import unicodedata
+from collections import Counter
+
+import numpy as np
 
 
 def count_ngram(tokens, gram):
@@ -202,3 +207,99 @@ def levenshtein_recursive(a, b):
         return min(go(i + 1, j + 1) + cost, go(i + 1, j) + 1, go(i, j + 1) + 1)
 
     return go(0, 0)
+
+
+def _normalize(text):
+    return " ".join(unicodedata.normalize("NFC", text).lower().split())
+
+
+def _evidence_from_counts(model, counts):
+    idx_list = []
+    cnt_list = []
+    for gram, count in counts.items():
+        idx = model.vocabulary.get(gram)
+        if idx is not None:
+            idx_list.append(idx)
+            cnt_list.append(count)
+    if not idx_list:
+        return None
+    idx = np.array(idx_list, dtype=np.intp)
+    cnt = np.array(cnt_list, dtype=np.float64)
+    return model.log_likelihood[:, idx] @ cnt
+
+
+def langid_evidence_counter(model, normalized):
+    """Per-language evidence of one normalized text from a Counter of its
+    n-gram strings; None when no n-gram is in the vocabulary."""
+    min_n, max_n = model.ngram_range
+    length = len(normalized)
+    counts = Counter()
+    for n in range(min_n, max_n + 1):
+        counts.update([normalized[i : i + n] for i in range(length - n + 1)])
+    return _evidence_from_counts(model, counts)
+
+
+def langid_boundary_evidence_counter(model, left, right):
+    """Evidence of the n-grams of ``left + " " + right`` that cover the
+    joining space; None when none is in the vocabulary."""
+    min_n, max_n = model.ngram_range
+    tail = left[-(max_n - 1) :] if max_n > 1 else ""
+    head = right[: max_n - 1] if max_n > 1 else ""
+    window = tail + " " + head
+    space_at = len(tail)
+    counts = Counter()
+    for n in range(min_n, max_n + 1):
+        start = max(0, space_at - n + 1)
+        stop = min(space_at, len(window) - n)
+        counts.update([window[i : i + n] for i in range(start, stop + 1)])
+    return _evidence_from_counts(model, counts)
+
+
+def clean_decide_counter(pair, model, mode):
+    """One pair's cleaning decision as ``CleaningDecision.to_dict()`` would
+    give it, and each (field, score vector) whose argmax set a predicted
+    language, so that callers can spot near-ties."""
+    decision = {
+        "index": pair.index,
+        "keep": False,
+        "reason": "EmptySide",
+        "predicted_source": None,
+        "predicted_target": None,
+        "predicted_concat": None,
+    }
+    if not pair.source.strip() or not pair.target.strip():
+        return decision, []
+    src_norm = _normalize(pair.source)
+    tgt_norm = _normalize(pair.target)
+    languages = model.languages
+    ev_src = langid_evidence_counter(model, src_norm)
+    ev_tgt = langid_evidence_counter(model, tgt_norm)
+    argmaxed = []
+    if mode in ("concat", "both"):
+        concat_scores = model.log_prior.copy()
+        for part in (ev_src, ev_tgt, langid_boundary_evidence_counter(model, src_norm, tgt_norm)):
+            if part is not None:
+                concat_scores = concat_scores + part
+        argmaxed.append(("predicted_concat", concat_scores))
+        decision["predicted_concat"] = languages[int(np.argmax(concat_scores))]
+        if decision["predicted_concat"] not in (pair.src_lang, pair.tgt_lang):
+            decision["reason"] = "ConcatLangMismatch"
+            return decision, argmaxed
+        if mode == "concat":
+            decision.update(keep=True, reason="Kept")
+            return decision, argmaxed
+    prior = model.log_prior
+    for side, ev in (("source", ev_src), ("target", ev_tgt)):
+        side_scores = prior if ev is None else prior + ev
+        argmaxed.append((f"predicted_{side}", side_scores))
+        decision[f"predicted_{side}"] = languages[int(np.argmax(side_scores))]
+    predicted_source, predicted_target = decision["predicted_source"], decision["predicted_target"]
+    if predicted_source == predicted_target:
+        decision["reason"] = "SameLanguagePredicted"
+    elif predicted_source != pair.src_lang:
+        decision["reason"] = "SourceLangMismatch"
+    elif predicted_target != pair.tgt_lang:
+        decision["reason"] = "TargetLangMismatch"
+    else:
+        decision.update(keep=True, reason="Kept")
+    return decision, argmaxed

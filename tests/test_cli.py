@@ -1,4 +1,9 @@
 import json
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -16,6 +21,17 @@ PROSE_CA = [
     "La biblioteca tanca al migdia els dissabtes.",
     "Els resultats van ser bons, tot i que millorables.",
 ]
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+SEED_DIR = SRC / "bitextkit" / "data" / "seeds"
+
+
+def _run_cli(args, **kwargs):
+    """The CLI in a fresh interpreter, against the source tree."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "bitextkit.cli", *args], env=env, timeout=120, **kwargs)
 
 
 @pytest.fixture
@@ -94,6 +110,24 @@ def test_langid_train_and_classify(runner, tmp_path, corpus):
     text, lang, margin = result.stdout.strip().split("\t")
     assert lang == "es"
     assert float(margin) >= 0
+
+
+def test_langid_train_failed_write_keeps_the_old_model(tmp_path, fixture_model):
+    out = tmp_path / "m.lidm"
+    save_model(fixture_model, out)
+    old = out.read_bytes()
+    _, hard = resource.getrlimit(resource.RLIMIT_FSIZE)
+    seeds = [f"--seed={lang}={SEED_DIR / f'{lang}.txt'}" for lang in ("es", "ca")]
+    result = _run_cli(
+        ["langid-train", *seeds, f"--out={out}"],
+        capture_output=True,
+        # writes past 64 kB fail with EFBIG, well into the new model
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_FSIZE, (64_000, hard)),
+    )
+    assert result.returncode == 2, result.stderr
+    assert b"error: " in result.stderr
+    assert out.read_bytes() == old
+    assert [p.name for p in tmp_path.iterdir()] == ["m.lidm"]
 
 
 def test_clean_command_writes_outputs_and_report(runner, tmp_path, corpus, model_path):
@@ -221,6 +255,27 @@ def test_tokenize_reports_invalid_utf8_offset(runner):
     assert "invalid UTF-8 at byte offset 11" in result.output
 
 
+@pytest.mark.parametrize("command", ["tokenize", "detokenize"])
+def test_output_file_appears_whole_or_not_at_all(runner, tmp_path, command):
+    good = tmp_path / "good.txt"
+    good.write_bytes(b"la casa .\nel gat\n")
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"la casa .\nel \xff gat\n")
+    out = tmp_path / "out.txt"
+    result = runner.invoke(cli, [command, "--lang", "ca", "--input", str(bad), "--output", str(out)])
+    assert result.exit_code == 2
+    assert "invalid UTF-8 at byte offset 13" in result.stderr
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.txt", "good.txt"]
+
+    to_stdout = runner.invoke(cli, [command, "--lang", "ca", "--input", str(good)])
+    assert runner.invoke(cli, [command, "--lang", "ca", "--input", str(good), "--output", str(out)]).exit_code == 0
+    assert out.read_bytes() == to_stdout.stdout_bytes
+    result = runner.invoke(cli, [command, "--lang", "ca", "--input", str(bad), "--output", str(out)])
+    assert result.exit_code == 2
+    assert out.read_bytes() == to_stdout.stdout_bytes
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.txt", "good.txt", "out.txt"]
+
+
 def test_tokenize_fallback_option(runner):
     result = runner.invoke(cli, ["tokenize", "--lang", "bm", "--fallback-of", "fr"], input="C'est l'agent.\n")
     assert result.stdout == "C' est l' agent .\n"
@@ -283,6 +338,23 @@ def test_cognates_command_with_dump(runner, tmp_path, data_dir):
     lines = dump.read_text(encoding="utf-8").splitlines()
     assert lines[0].startswith("sentence\t")
     assert len(lines) == payload["cognate_pairs"] + 1
+
+
+def test_cognates_dump_to_redirected_stdout_keeps_both_streams(tmp_path, data_dir):
+    rows = [l.split("\t") for l in (data_dir / "cognates_ca_es.tsv").read_text(encoding="utf-8").splitlines()][:10]
+    src = tmp_path / "src.txt"
+    ref = tmp_path / "ref.txt"
+    src.write_text("\n".join(r[0] for r in rows) + "\n", encoding="utf-8")
+    ref.write_text("\n".join(r[1] for r in rows) + "\n", encoding="utf-8")
+    args = ["cognates", "--src", str(src), "--ref", str(ref), "--dump"]
+    dump = tmp_path / "pairs.tsv"
+    report = _run_cli(args + [str(dump)], capture_output=True, check=True).stdout
+    redirected = tmp_path / "stdout.txt"
+    with redirected.open("wb") as fh:
+        _run_cli(args + ["/dev/stdout"], stdout=fh, check=True)
+    # as through a pipe: the dump, then the report, neither over the other
+    assert redirected.read_bytes() == dump.read_bytes() + report
+    assert json.loads(report)["cognate_pairs"] == dump.read_text(encoding="utf-8").count("\n") - 1
 
 
 def test_cognates_without_system_output(runner, tmp_path):
