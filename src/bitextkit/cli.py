@@ -17,9 +17,9 @@ import click
 
 from . import __version__
 from .cleaner import MODES, audit_table
-from .corpus_io import atomic_write, corpus_stats, decode_lines, read_lines, read_parallel, read_tsv
+from .corpus_io import atomic_write, batched, corpus_stats, decode_lines, read_lines, read_parallel, read_tsv
 from .exceptions import BitextError
-from .langid import classify, load_model, save_model, train
+from .langid import classify_lines, load_model, save_model, train
 from .metrics import score_report
 from .pipeline import (
     clean_and_write,
@@ -29,7 +29,10 @@ from .pipeline import (
     validate_config,
     with_provenance,
 )
-from .tokenizer import detokenize, resolve_rules, tokenize
+from .tokenizer import detokenize, resolve_rules, tokenize_stream
+
+# lines that langid-classify reads and classifies at a time
+_CLASSIFY_CHUNK = 256
 
 
 def _fail(message: str, code: int) -> None:
@@ -115,9 +118,9 @@ def langid_train(seeds, out_path, ngram_min, ngram_max, vocab_size, alpha):
 def langid_classify(model_path, input_path):
     """Classify lines; emits TSV: text, predicted language, margin."""
     model = load_model(model_path)
-    for text in decode_lines(input_path):
-        prediction = classify(model, text)
-        click.echo(f"{text}\t{prediction.lang}\t{prediction.margin:.6f}")
+    for texts in batched(decode_lines(input_path), _CLASSIFY_CHUNK):
+        for text, prediction in zip(texts, classify_lines(model, texts)):
+            click.echo(f"{text}\t{prediction.lang}\t{prediction.margin:.6f}")
 
 
 @cli.command("clean")
@@ -188,7 +191,7 @@ def _write_lines(output_path: str, lines: Iterable[str]) -> None:
 def tokenize_cmd(lang, fallback_of, aggressive_hyphen, input_file, output_path):
     """Tokenize lines (stdin to stdout by default)."""
     rules = resolve_rules(lang, fallback_of, aggressive_hyphen=aggressive_hyphen)
-    _write_lines(output_path, (" ".join(tokenize(text, rules)) for text in decode_lines(input_file)))
+    _write_lines(output_path, (" ".join(tokens) for tokens in tokenize_stream(decode_lines(input_file), rules)))
 
 
 @cli.command("detokenize")

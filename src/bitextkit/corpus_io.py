@@ -16,6 +16,7 @@ import os
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
+from itertools import islice
 from typing import BinaryIO, Iterable, Iterator, Optional, TextIO
 
 from .exceptions import EncodingError, LineCountMismatch, MalformedRow, UnwritableField
@@ -75,6 +76,13 @@ def decode_lines(stream: BinaryIO) -> Iterator[str]:
         if line.endswith("\r"):
             line = line[:-1]
         yield line
+
+
+def batched(items: Iterable, size: int) -> Iterator[list]:
+    """Consecutive lists of ``size`` items; the last may be shorter."""
+    items = iter(items)
+    while chunk := list(islice(items, size)):
+        yield chunk
 
 
 def read_lines(path) -> list[str]:

@@ -253,24 +253,32 @@ def scores(model: LangIdModel, text: str) -> np.ndarray:
     return model.log_prior + ev[0]
 
 
-def log_posteriors(model: LangIdModel, text: str) -> np.ndarray:
-    """Log of the softmax-normalized per-language posterior."""
-    raw = scores(model, text)
+def _log_softmax(raw: np.ndarray) -> np.ndarray:
     peak = raw.max()
     return raw - (peak + np.log(np.exp(raw - peak).sum()))
+
+
+def log_posteriors(model: LangIdModel, text: str) -> np.ndarray:
+    """Log of the softmax-normalized per-language posterior."""
+    return _log_softmax(scores(model, text))
+
+
+def classify_lines(model: LangIdModel, texts: Sequence[str]) -> list[Prediction]:
+    """``classify`` of each text, from one batched evidence walk over all."""
+    ev, _ = evidence(model, [normalize_text(text) for text in texts])
+    predictions = []
+    for raw in model.log_prior + ev:
+        posterior = _log_softmax(raw).tolist()
+        best = posterior.index(max(posterior))
+        runner_up = max(posterior[:best] + posterior[best + 1 :], default=posterior[best])
+        predictions.append(Prediction(model.languages[best], posterior[best], posterior[best] - runner_up))
+    return predictions
 
 
 def classify(model: LangIdModel, text: str) -> Prediction:
     """Most probable language; empty or fully out-of-vocabulary text falls
     back to the priors. Ties break by language order."""
-    posterior = log_posteriors(model, text)
-    best = int(np.argmax(posterior))
-    runner_up = np.delete(posterior, best).max() if len(posterior) > 1 else posterior[best]
-    return Prediction(
-        lang=model.languages[best],
-        log_posterior=float(posterior[best]),
-        margin=float(posterior[best] - runner_up),
-    )
+    return classify_lines(model, [text])[0]
 
 
 def classify_pair_concat(model: LangIdModel, pair: SentencePair) -> Prediction:

@@ -7,7 +7,7 @@ from typing import Optional, Sequence
 
 from ..corpus_io import read_lines
 from ..exceptions import EmptyCorpus, LineCountMismatch
-from ..tokenizer import resolve_rules, tokenize
+from ..tokenizer import resolve_rules, tokenize_lines
 from .bleu import BleuScore, bleu_corpus
 from .ribes import RibesScore, ribes_corpus
 from .ter import DEFAULT_MAX_SHIFT_SIZE, TerScore, ter_corpus
@@ -80,7 +80,8 @@ def read_references(hyp_lines: Sequence[str], hyp_path, ref_paths) -> list:
 
 
 def score_lines(hyp_lines: Sequence[str], ref_corpora: list, split, lowercase: bool, tokens: Optional[list] = None) -> MetricReport:
-    """Score ``hyp_lines`` against the line-aligned ``ref_corpora``, split by ``split``.
+    """Score ``hyp_lines`` against the line-aligned ``ref_corpora``; ``split``
+    turns a list of lines into their token lists.
 
     ``lowercase`` folds case before splitting, never after: the tokenizer
     reads case, so it splits "casa. Luego" but not "casa. luego". Otherwise
@@ -88,7 +89,7 @@ def score_lines(hyp_lines: Sequence[str], ref_corpora: list, split, lowercase: b
     are scored when given.
     """
     if lowercase or tokens is None:
-        tokens = [[split(line.lower() if lowercase else line) for line in lines] for lines in (hyp_lines, *ref_corpora)]
+        tokens = [split([line.lower() for line in lines] if lowercase else lines) for lines in (hyp_lines, *ref_corpora)]
     return score_corpus(tokens[0], [[ref[i] for ref in tokens[1:]] for i in range(len(tokens[0]))])
 
 
@@ -111,8 +112,8 @@ def score_report(
     hyp_lines = read_lines(hyp_path)
     ref_corpora = read_references(hyp_lines, hyp_path, ref_paths)
     if tokenized_input:
-        split = str.split
+        split = lambda lines: [line.split() for line in lines]  # noqa: E731
     else:
         rules = resolve_rules(lang)
-        split = lambda line: tokenize(line, rules)  # noqa: E731
+        split = lambda lines: tokenize_lines(lines, rules)  # noqa: E731
     return score_lines(hyp_lines, ref_corpora, split, lowercase)

@@ -19,7 +19,7 @@ import json
 import os
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Optional
 
@@ -30,7 +30,7 @@ from .corpus_io import SentencePair, atomic_write, corpus_stats, read_lines, rea
 from .exceptions import BitextError, LineCountMismatch
 from .langid import load_model
 from .metrics.report import read_references, score_lines
-from .tokenizer import detokenize, resolve_rules, tokenize
+from .tokenizer import detokenize, resolve_rules, tokenize_lines, tokenize_stream
 
 ENV_PREFIX = "BITEXTKIT_"
 
@@ -325,12 +325,14 @@ def _run_prep(config: PipelineConfig, out: Path, manifest: _Manifest) -> None:
         rules_tgt = resolve_rules(config.tgt_lang, config.src_lang)
         tokenized_src = out / f"tokenized.{config.src_lang}"
         tokenized_tgt = out / f"tokenized.{config.tgt_lang}"
-        tokenized = [
-            replace(p, source=" ".join(tokenize(p.source, rules_src)), target=" ".join(tokenize(p.target, rules_tgt)))
-            for p in kept
-        ]
-        write_parallel(tokenized, tokenized_src, tokenized_tgt)
-        body = {"lines": len(tokenized), "source_rules": rules_src.lang, "target_rules": rules_tgt.lang}
+        sources = tokenize_stream((p.source for p in kept), rules_src)
+        targets = tokenize_stream((p.target for p in kept), rules_tgt)
+        tokenized = (
+            SentencePair(p.index, " ".join(source), " ".join(target), p.src_lang, p.tgt_lang)
+            for p, source, target in zip(kept, sources, targets)
+        )
+        lines = write_parallel(tokenized, tokenized_src, tokenized_tgt)
+        body = {"lines": lines, "source_rules": rules_src.lang, "target_rules": rules_tgt.lang}
         report_path = _write_report(out / "tokenize_report.json", config, body)
         manifest.record("tokenize", [cleaned_src, cleaned_tgt], [tokenized_src, tokenized_tgt, report_path])
 
@@ -346,11 +348,11 @@ def _run_eval(config: PipelineConfig, out: Path, manifest: _Manifest) -> None:
         report_path = _write_report(out / "detokenize_report.json", config, {"lines": len(system), "rules": rules.lang})
         manifest.record("detokenize", [config.hyp], [detok_path, report_path])
 
-    split = lambda line: tokenize(line, rules)  # noqa: E731
+    split = lambda lines: tokenize_lines(lines, rules)  # noqa: E731
     with _stage("score"):
         [references] = read_references(system, detok_path, [config.ref])
-        system_tokens = [split(line) for line in system]
-        ref_tokens = [split(line) for line in references]
+        system_tokens = split(system)
+        ref_tokens = split(references)
         report = score_lines(system, [references], split, config.lowercase, [system_tokens, ref_tokens])
         del system, references
         report_path = _write_report(out / "score.json", config, report.to_dict())
@@ -362,8 +364,8 @@ def _run_eval(config: PipelineConfig, out: Path, manifest: _Manifest) -> None:
             raise LineCountMismatch(len(sources), len(ref_tokens), context=f"{config.source} / {config.ref}")
         src_rules = resolve_rules(config.src_lang, config.lang)
         pairs = [
-            SentencePair(i, " ".join(tokenize(source, src_rules)), " ".join(ref), config.src_lang, config.lang)
-            for i, (source, ref) in enumerate(zip(sources, ref_tokens))
+            SentencePair(i, " ".join(source), " ".join(ref), config.src_lang, config.lang)
+            for i, (source, ref) in enumerate(zip(tokenize_stream(sources, src_rules), ref_tokens))
         ]
         del sources, ref_tokens
         _, body = cognate_report(pairs, system_tokens, config.cognate_threshold, config.cognate_min_len, config.workers)

@@ -13,8 +13,11 @@ from __future__ import annotations
 import unicodedata
 from dataclasses import dataclass, replace
 from importlib import resources
+from typing import Iterable, Iterator, Sequence
 
 import regex
+
+from .corpus_io import batched
 
 _ALPHA = r"\p{L}\p{M}"
 _NUM = r"\p{N}"
@@ -26,7 +29,6 @@ _APOS_LEFT_LANGS = frozenset({"fr", "ca", "it", "ga"})
 _APOS_RIGHT_LANGS = frozenset({"en"})
 
 _JUNK = regex.compile("[\\x00-\\x1f\\x7f]")
-_WS = regex.compile(r"\s+")
 _SPECIALS = regex.compile(rf"([^{_ALNUM}\s.'`,\-])")
 _AGGRESSIVE_HYPHEN = regex.compile(rf"([{_ALNUM}])-(?=[{_ALNUM}])")
 _MULTIDOT = regex.compile(r"\.{2,}")
@@ -51,7 +53,10 @@ _APOS_RULES = {
     ),
     "isolate": ((regex.compile(r"'"), r" ' "),),
 }
-_ENDS_WITH_PERIOD = regex.compile(r"^(\S+)\.$")
+# The period that ends a word, and the first character of the next word on
+# its line, if there is one. In a padded chunk the only whitespace is the
+# space and the LF between lines.
+_PERIOD_END = regex.compile(r"\.(?= +([^ \n])?)")
 _HAS_ALPHA = regex.compile(rf"[{_ALPHA}]")
 _STARTS_LOWER = regex.compile(r"^\p{Ll}")
 _STARTS_DIGIT = regex.compile(rf"^[{_NUM}]")
@@ -60,6 +65,10 @@ _PROTECTED_FMT = "THISISPROTECTED{:03d}"
 _PROTECTED_TOKEN = regex.compile(r"^THISISPROTECTED(\d{3})$")
 
 _PREFIX_PACKAGE_DIR = "data/nonbreaking_prefixes"
+
+# Lines joined into one string per rule pass, and read at a time by
+# tokenize_stream.
+_CHUNK_LINES = 256
 
 
 @dataclass(frozen=True)
@@ -150,59 +159,54 @@ def resolve_rules(
     return rules
 
 
-def _handle_periods(words: list, rules: TokenizerRules) -> list:
-    """Split word-final periods except after nonbreaking prefixes."""
-    out = []
-    last = len(words) - 1
-    for i, word in enumerate(words):
-        m = _ENDS_WITH_PERIOD.match(word)
-        if m:
-            stem = m.group(1)
-            keep = (
-                ("." in stem and _HAS_ALPHA.search(stem))
-                or stem in rules.nonbreaking_prefixes
-                or (i < last and _STARTS_LOWER.match(words[i + 1]))
-                or (
-                    stem in rules.numeric_only_prefixes
-                    and i < last
-                    and _STARTS_DIGIT.match(words[i + 1])
-                )
-            )
-            if not keep:
-                out.append(stem)
-                out.append(".")
-                continue
-        out.append(word)
-    return out
-
-
-def tokenize(text: str, rules: TokenizerRules) -> list:
-    """Tokenize one logical line into Moses-convention tokens."""
-    text = unicodedata.normalize("NFC", text)
-    text = _JUNK.sub("", text)
-    text = " " + _WS.sub(" ", text).strip() + " "
-
-    protected: list = []
-    if rules.protected_patterns:
+def _padded(line: str, patterns: list, protected: list) -> str:
+    """``line`` normalized to NFC, cleaned of control characters, its
+    whitespace collapsed and padded with a space on either side, and each
+    protected-pattern match stashed in ``protected`` behind a placeholder
+    word."""
+    text = _JUNK.sub("", unicodedata.normalize("NFC", line))
+    # after the junk is gone, str.split's whitespace is exactly regex's \s
+    text = " " + " ".join(text.split()) + " "
+    if patterns:
 
         def _stash(m):
             protected.append(m.group(0))
             return " " + _PROTECTED_FMT.format(len(protected) - 1) + " "
 
-        for pattern in rules.protected_patterns:
-            text = regex.sub(pattern, _stash, text)
+        for pattern in patterns:
+            text = pattern.sub(_stash, text)
+    return text
 
-    text = _SPECIALS.sub(r" \1 ", text)
-    if rules.aggressive_hyphen:
-        text = _AGGRESSIVE_HYPHEN.sub(r"\1 @-@ ", text)
-    text = _MULTIDOT.sub(lambda m: f" MULTIDOT{len(m.group(0))} ", text)
-    for pattern, repl in _COMMA_RULES:
-        text = pattern.sub(repl, text)
-    for pattern, repl in _APOS_RULES[rules.apostrophe_class]:
-        text = pattern.sub(repl, text)
 
-    tokens = _handle_periods(text.split(), rules)
+def _split_periods(text: str, rules: TokenizerRules) -> str:
+    """Split word-final periods from their word, except after nonbreaking
+    prefixes, in words with an inner period and a letter, and before a
+    lowercase word (or a number, for numeric-only prefixes)."""
+    cuts = [0]
+    for m in _PERIOD_END.finditer(text):
+        end = m.start()
+        stem = text[text.rfind(" ", 0, end) + 1 : end]  # a space starts every line
+        following = m.group(1)
+        keep = (
+            not stem
+            or ("." in stem and _HAS_ALPHA.search(stem))
+            or stem in rules.nonbreaking_prefixes
+            or (
+                following is not None
+                and (
+                    _STARTS_LOWER.match(following)
+                    or (stem in rules.numeric_only_prefixes and _STARTS_DIGIT.match(following))
+                )
+            )
+        )
+        if not keep:
+            cuts.append(end)
+    cuts.append(len(text))
+    return " ".join([text[a:b] for a, b in zip(cuts, cuts[1:])])
 
+
+def _restore(tokens: list, protected: list) -> list:
+    """Tokens with each placeholder replaced by the text it stands for."""
     restored = []
     for token in tokens:
         m = _MULTIDOT_TOKEN.match(token)
@@ -215,6 +219,53 @@ def tokenize(text: str, rules: TokenizerRules) -> list:
             continue
         restored.append(token)
     return restored
+
+
+def _tokenize_chunk(lines: Sequence[str], rules: TokenizerRules, patterns: list) -> list:
+    stashes = [[] for _ in lines]
+    # An LF inside a line is junk, so LF joins the lines unambiguously. Every
+    # line starts and ends with a space, so no rule's match or context
+    # reaches past its line, and no rule writes an LF.
+    text = "\n".join([_padded(line, patterns, protected) for line, protected in zip(lines, stashes)])
+    text = _SPECIALS.sub(r" \1 ", text)
+    if rules.aggressive_hyphen:
+        text = _AGGRESSIVE_HYPHEN.sub(r"\1 @-@ ", text)
+    text = _MULTIDOT.sub(lambda m: f" MULTIDOT{len(m.group(0))} ", text)
+    for pattern, repl in _COMMA_RULES:
+        text = pattern.sub(repl, text)
+    for pattern, repl in _APOS_RULES[rules.apostrophe_class]:
+        text = pattern.sub(repl, text)
+    segments = _split_periods(text, rules).split("\n")
+    if "MULTIDOT" not in text and not any(stashes):
+        return [segment.split() for segment in segments]
+    return [_restore(segment.split(), protected) for segment, protected in zip(segments, stashes)]
+
+
+def tokenize_lines(lines: Sequence[str], rules: TokenizerRules) -> list[list[str]]:
+    """Tokenize each line into Moses-convention tokens, one list per line.
+
+    Each line is normalized, padded and has its protected patterns stashed
+    on its own; then a chunk of lines at a time is joined with LF, so that
+    each rule runs once per chunk. A line's tokens do not depend on the
+    other lines or on the chunk size.
+    """
+    patterns = [regex.compile(pattern) for pattern in rules.protected_patterns]
+    tokens: list = []
+    for start in range(0, len(lines), _CHUNK_LINES):
+        tokens += _tokenize_chunk(lines[start : start + _CHUNK_LINES], rules, patterns)
+    return tokens
+
+
+def tokenize_stream(lines: Iterable[str], rules: TokenizerRules) -> Iterator[list[str]]:
+    """``tokenize_lines`` over an iterable, read a chunk at a time, so that
+    memory stays bounded by the chunk."""
+    for chunk in batched(lines, _CHUNK_LINES):
+        yield from tokenize_lines(chunk, rules)
+
+
+def tokenize(text: str, rules: TokenizerRules) -> list:
+    """Tokenize one logical line into Moses-convention tokens."""
+    return tokenize_lines([text], rules)[0]
 
 
 _RIGHT_PUNCT = regex.compile(r"^[,.?!:;%…\\}\])»›]+$")

@@ -3,8 +3,9 @@ library. These deliberately share no code with the package: n-grams are
 counted by naive list scans, edit distance by a full DP matrix (TER's
 greedy shift search rescores every candidate with one), rank correlation
 by all-pairs counting, RIBES alignment by rescanning both sides for every
-context window, Levenshtein by plain recursion, and langid evidence by a
-Counter of each text's n-gram strings, one pair at a time.
+context window, Levenshtein by plain recursion, langid evidence by a
+Counter of each text's n-gram strings, one pair at a time, and Moses
+tokenization by every rule pass over one padded line at a time.
 """
 
 import math
@@ -12,6 +13,7 @@ import unicodedata
 from collections import Counter
 
 import numpy as np
+import regex
 
 
 def count_ngram(tokens, gram):
@@ -303,3 +305,107 @@ def clean_decide_counter(pair, model, mode):
     else:
         decision.update(keep=True, reason="Kept")
     return decision, argmaxed
+
+
+_ALPHA = r"\p{L}\p{M}"
+_NUM = r"\p{N}"
+_ALNUM = _ALPHA + _NUM
+_JUNK = regex.compile("[\\x00-\\x1f\\x7f]")
+_WS = regex.compile(r"\s+")
+_SPECIALS = regex.compile(rf"([^{_ALNUM}\s.'`,\-])")
+_AGGRESSIVE_HYPHEN = regex.compile(rf"([{_ALNUM}])-(?=[{_ALNUM}])")
+_MULTIDOT = regex.compile(r"\.{2,}")
+_MULTIDOT_TOKEN = regex.compile(r"^MULTIDOT(\d+)$")
+_COMMA_RULES = (
+    (regex.compile(rf"([^{_NUM}]),"), r"\1 , "),
+    (regex.compile(rf",([^{_NUM}])"), r" , \1"),
+)
+_APOS_RULES = {
+    "right": (
+        (regex.compile(rf"([^{_ALPHA}])'([^{_ALPHA}])"), r"\1 ' \2"),
+        (regex.compile(rf"([^{_ALPHA}{_NUM}])'([{_ALPHA}])"), r"\1 ' \2"),
+        (regex.compile(rf"([{_ALPHA}])'([^{_ALPHA}])"), r"\1 ' \2"),
+        (regex.compile(rf"([{_ALPHA}])'([{_ALPHA}])"), r"\1 '\2"),
+        (regex.compile(rf"([{_NUM}])'(s)"), r"\1 '\2"),
+    ),
+    "left": (
+        (regex.compile(rf"([^{_ALPHA}])'([^{_ALPHA}])"), r"\1 ' \2"),
+        (regex.compile(rf"([^{_ALPHA}])'([{_ALPHA}])"), r"\1 ' \2"),
+        (regex.compile(rf"([{_ALPHA}])'([^{_ALPHA}])"), r"\1 ' \2"),
+        (regex.compile(rf"([{_ALPHA}])'([{_ALPHA}])"), r"\1' \2"),
+    ),
+    "isolate": ((regex.compile(r"'"), r" ' "),),
+}
+_ENDS_WITH_PERIOD = regex.compile(r"^(\S+)\.$")
+_HAS_ALPHA = regex.compile(rf"[{_ALPHA}]")
+_STARTS_LOWER = regex.compile(r"^\p{Ll}")
+_STARTS_DIGIT = regex.compile(rf"^[{_NUM}]")
+_PROTECTED_FMT = "THISISPROTECTED{:03d}"
+_PROTECTED_TOKEN = regex.compile(r"^THISISPROTECTED(\d{3})$")
+
+
+def _handle_periods(words, rules):
+    out = []
+    last = len(words) - 1
+    for i, word in enumerate(words):
+        m = _ENDS_WITH_PERIOD.match(word)
+        if m:
+            stem = m.group(1)
+            keep = (
+                ("." in stem and _HAS_ALPHA.search(stem))
+                or stem in rules.nonbreaking_prefixes
+                or (i < last and _STARTS_LOWER.match(words[i + 1]))
+                or (
+                    stem in rules.numeric_only_prefixes
+                    and i < last
+                    and _STARTS_DIGIT.match(words[i + 1])
+                )
+            )
+            if not keep:
+                out.append(stem)
+                out.append(".")
+                continue
+        out.append(word)
+    return out
+
+
+def tokenize_per_line(text, rules):
+    """Moses-convention tokens of one line: every rule pass runs over that
+    line alone, and periods are judged word by word."""
+    text = unicodedata.normalize("NFC", text)
+    text = _JUNK.sub("", text)
+    text = " " + _WS.sub(" ", text).strip() + " "
+
+    protected = []
+    if rules.protected_patterns:
+
+        def _stash(m):
+            protected.append(m.group(0))
+            return " " + _PROTECTED_FMT.format(len(protected) - 1) + " "
+
+        for pattern in rules.protected_patterns:
+            text = regex.sub(pattern, _stash, text)
+
+    text = _SPECIALS.sub(r" \1 ", text)
+    if rules.aggressive_hyphen:
+        text = _AGGRESSIVE_HYPHEN.sub(r"\1 @-@ ", text)
+    text = _MULTIDOT.sub(lambda m: f" MULTIDOT{len(m.group(0))} ", text)
+    for pattern, repl in _COMMA_RULES:
+        text = pattern.sub(repl, text)
+    for pattern, repl in _APOS_RULES[rules.apostrophe_class]:
+        text = pattern.sub(repl, text)
+
+    tokens = _handle_periods(text.split(), rules)
+
+    restored = []
+    for token in tokens:
+        m = _MULTIDOT_TOKEN.match(token)
+        if m:
+            restored.append("." * int(m.group(1)))
+            continue
+        m = _PROTECTED_TOKEN.match(token)
+        if m and int(m.group(1)) < len(protected):
+            restored.append(protected[int(m.group(1))])
+            continue
+        restored.append(token)
+    return restored

@@ -8,8 +8,11 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
+from oracles import tokenize_per_line
+
 from bitextkit.cli import cli
-from bitextkit.langid import save_model
+from bitextkit.langid import classify, save_model
+from bitextkit.tokenizer import resolve_rules
 
 PROSE_ES = [
     "El comité aprobó la propuesta por unanimidad.",
@@ -284,6 +287,31 @@ def test_tokenize_fallback_option(runner):
 def test_tokenize_aggressive_hyphen(runner):
     result = runner.invoke(cli, ["tokenize", "--lang", "en", "--aggressive-hyphen"], input="cost-effective\n")
     assert result.stdout == "cost @-@ effective\n"
+
+
+def test_tokenize_streams_many_chunks_like_per_line_tokenization(runner, tmp_path):
+    lines = [line for lang in ("es", "ca", "pt", "fr") for line in (SEED_DIR / f"{lang}.txt").read_text(encoding="utf-8").splitlines()]
+    source = tmp_path / "in.txt"
+    source.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    result = runner.invoke(cli, ["tokenize", "--lang", "ca", "--input", str(source)])
+    assert result.exit_code == 0
+    rules = resolve_rules("ca")
+    assert result.stdout == "".join(" ".join(tokenize_per_line(line, rules)) + "\n" for line in lines)
+
+
+def test_langid_classify_batches_like_per_line_classify(runner, tmp_path, fixture_model):
+    model_file = tmp_path / "m.lidm"
+    save_model(fixture_model, model_file)
+    lines = [line for lang in ("es", "ca", "pt", "fr") for line in (SEED_DIR / f"{lang}.txt").read_text(encoding="utf-8").splitlines()]
+    probe = tmp_path / "probe.txt"
+    probe.write_text("".join(line + "\n" for line in lines + ["", "zzz"]), encoding="utf-8")
+    result = runner.invoke(cli, ["langid-classify", "--model", str(model_file), "--file", str(probe)])
+    assert result.exit_code == 0
+    expected = ""
+    for text in lines + ["", "zzz"]:
+        prediction = classify(fixture_model, text)
+        expected += f"{text}\t{prediction.lang}\t{prediction.margin:.6f}\n"
+    assert result.stdout == expected
 
 
 def test_langid_classify_from_file(runner, tmp_path, fixture_model):

@@ -18,7 +18,16 @@ import oracles
 from bitextkit import cleaner
 from bitextkit.cleaner import _CHUNK_PAIRS, MODES, clean
 from bitextkit.corpus_io import SentencePair
-from bitextkit.langid import boundary_evidence, evidence, load_model, normalize_text, save_model, train
+from bitextkit.langid import (
+    boundary_evidence,
+    classify,
+    classify_lines,
+    evidence,
+    load_model,
+    normalize_text,
+    save_model,
+    train,
+)
 from synth import seed_lines, spliced
 
 TOLERANCE = 1e-9
@@ -135,6 +144,13 @@ def _assert_decisions_match(decisions, pairs, model, mode):
 def test_evidence_matches_counter_oracle(model):
     rng = random.Random(f"evidence:{model.ngram_range}:{len(model.vocabulary)}")
     _assert_evidence_matches(model, _texts(rng, 150), rng)
+
+
+def test_classify_lines_equals_classify_one_text_at_a_time(model):
+    # exact: a text's evidence is summed in the same order in any batch
+    rng = random.Random(f"classify:{model.ngram_range}:{len(model.vocabulary)}")
+    texts = _texts(rng, 300) + HOSTILE
+    assert classify_lines(model, texts) == [classify(model, text) for text in texts]
 
 
 def test_evidence_with_odd_characters_in_the_vocabulary(odd_alphabet_model):

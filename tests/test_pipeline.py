@@ -398,12 +398,12 @@ def test_eval_reads_each_input_once_and_tokenizes_each_line_once(tmp_path, monke
     config = _eval_config(tmp_path, PROSE_ES, PROSE_CA, hyp)
     reads, tokenized = [], []
     _record_calls(monkeypatch, corpus_io.read_lines, reads)
-    _record_calls(monkeypatch, tokenizer.tokenize, tokenized)
+    _record_calls(monkeypatch, tokenizer.tokenize_lines, tokenized)
     run_pipeline(config)
     assert sorted(map(str, reads)) == sorted([config.source, config.ref, config.hyp])
     detok = (tmp_path / "out" / "detokenized.hyp").read_text(encoding="utf-8").splitlines()
     assert detok == PROSE_CA
-    assert Counter(tokenized) == Counter(PROSE_ES + PROSE_CA + detok)
+    assert Counter(line for lines in tokenized for line in lines) == Counter(PROSE_ES + PROSE_CA + detok)
 
 
 @pytest.mark.parametrize("lowercase, hyp_len", [(False, 6), (True, 5)])

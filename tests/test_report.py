@@ -1,9 +1,10 @@
 import json
 
 import pytest
+from oracles import tokenize_per_line
 
 from bitextkit.exceptions import EmptyCorpus, LineCountMismatch
-from bitextkit.metrics import bleu_corpus, ribes_corpus, score_report, ter_corpus
+from bitextkit.metrics import bleu_corpus, ribes_corpus, score_corpus, score_report, ter_corpus
 from bitextkit.tokenizer import resolve_rules, tokenize
 
 PROSE = [
@@ -130,3 +131,18 @@ def test_multiple_references(tmp_path):
     assert report.bleu.bleu == 100.0
     assert report.ribes.ribes == 1.0
     assert report.ter.ter == 0.0
+
+
+@pytest.mark.parametrize("lowercase", [False, True])
+def test_report_equals_per_line_tokenization(tmp_path, data_dir, lowercase):
+    """score_report tokenizes whole files at once; its scores are those of
+    the lines tokenized one at a time (folded first with ``lowercase``)."""
+    rows = [line.split("\t") for line in (data_dir / "cognates_ca_es.tsv").read_text(encoding="utf-8").splitlines()]
+    hyp, ref = tmp_path / "hyp.txt", tmp_path / "ref.txt"
+    hyp.write_text("".join(es + "\n" for _, es in rows), encoding="utf-8")
+    ref.write_text("".join(es + "\n" for _, es in reversed(rows)), encoding="utf-8")
+    rules = resolve_rules("es")
+    fold = str.lower if lowercase else str
+    hyps = [tokenize_per_line(fold(es), rules) for _, es in rows]
+    refs = [[tokenize_per_line(fold(es), rules)] for _, es in reversed(rows)]
+    assert score_report(hyp, ref, lang="es", lowercase=lowercase).to_dict() == score_corpus(hyps, refs).to_dict()

@@ -1,7 +1,14 @@
+import random
+import sys
+
 import pytest
+import regex
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import tokenize_per_line
+from synth import seed_lines
 
+from bitextkit import tokenizer
 from bitextkit.tokenizer import (
     TokenizerRules,
     detokenize,
@@ -10,6 +17,8 @@ from bitextkit.tokenizer import (
     resolve_rules,
     supported_languages,
     tokenize,
+    tokenize_lines,
+    tokenize_stream,
     with_options,
 )
 
@@ -150,3 +159,103 @@ def test_lowercase_next_word_keeps_period():
 def test_acronym_period_kept():
     rules = resolve_rules("en")
     assert tokenize("U.S. officials spoke", rules) == ["U.S.", "officials", "spoke"]
+
+
+SEED_TEXT = [line for lang in ("es", "ca", "pt", "fr") for line in seed_lines(lang)]
+RULE_LANGS = sorted(supported_languages()) + ["xx"]
+
+_FRAGMENTS = (
+    "\x00", "\n", "\r", "\t", "\x0b", "\x0c", "\x1f", "\x7f", "\x85", "\u2028", "\u2029", "\u00a0", "\u3000",
+    "\u0301", "\u0308", "e\u0301", "\u0344", "A\u030a", "\u1100\u1161",
+    ".", "..", "...", "....", "a..", "x.y.", "U.S.", "3.5.", "12.", "1,000", ",", ",a", "a,", "5,", ",5",
+    "'", "`", "l'", "d'", "'s", "don't", "1990's", "'hola'", "s'il", "-", "--", "cost-effective", "a-b-c", "-x", "x-",
+    "?", "!", "¿", "¡", "(", ")", "«", "»", '"', ":", ";", "%", "$", "/", "@", "&", "’", "…",
+    "MULTIDOT3", "MULTIDOT12", "MULTIDOT", "THISISPROTECTED000", "THISISPROTECTED001", "THISISPROTECTED5",
+    "Sr.", "Dr.", "pág.", "No.", "Art.", "etc.", "p.", "M.", "<a href='x'>", "<b>",
+    "casa", "Casa", "luego", "Luego", "42", "٣", "ñandú", "ÉCOLE", "l'aigua",
+)
+_SEPARATORS = ("", " ", " ", " ", "  ", "\t", "\n", "\u00a0", "\u2028", "\r")
+
+
+def fuzz_lines(seed: int, count: int) -> list:
+    """Seeded lines mixing control characters, Unicode spaces, combining
+    marks, dots, placeholders, prefixes, apostrophes and seed words."""
+    rng = random.Random(seed)
+    words = [word for line in SEED_TEXT[:40] for word in line.split()]
+    lines = []
+    for _ in range(count):
+        parts = []
+        for _ in range(rng.randrange(16)):
+            parts.append(rng.choice(_FRAGMENTS) if rng.random() < 0.6 else rng.choice(words))
+            parts.append(rng.choice(_SEPARATORS))
+        lines.append("".join(parts))
+    return lines
+
+
+FUZZ = fuzz_lines(9, 2500)
+
+
+def _rules(lang, aggressive_hyphen=False, protected_patterns=()):
+    return resolve_rules(lang, aggressive_hyphen=aggressive_hyphen, protected_patterns=protected_patterns)
+
+
+@pytest.mark.parametrize("aggressive_hyphen", [False, True])
+@pytest.mark.parametrize("lang", RULE_LANGS)
+def test_tokenize_lines_equals_per_line_oracle(lang, aggressive_hyphen):
+    rules = _rules(lang, aggressive_hyphen)
+    lines = SEED_TEXT + FUZZ
+    want = [tokenize_per_line(line, rules) for line in lines]
+    got = tokenize_lines(lines, rules)
+    assert len(got) == len(lines)
+    assert [(line, w, g) for line, w, g in zip(lines, want, got) if w != g] == []
+
+
+@pytest.mark.parametrize(
+    "patterns",
+    [(r"<[^>]+>",), (r"(?s).+",), (r"\s\S+\s",), (r"<[^>]+>", r"\d+"), (r"\d+", r"(?s)a.+?z")],
+)
+def test_protected_patterns_equal_per_line_oracle(patterns):
+    # "(?s).+" and "\s\S+\s" would reach across lines if matched on a chunk
+    for lang in ("en", "fr", "xx"):
+        rules = _rules(lang, True, patterns)
+        lines = SEED_TEXT[::7] + FUZZ[:800]
+        assert tokenize_lines(lines, rules) == [tokenize_per_line(line, rules) for line in lines]
+
+
+def test_tokenize_equals_oracle_on_every_case(data_dir):
+    cases = [text for lang in ("en", "es", "ca", "pt", "fr") for _, text, _ in load_cases(data_dir, lang)]
+    for lang in ("en", "ca", "xx"):
+        rules = _rules(lang, protected_patterns=(r"<[^>]+>",))
+        for text in cases + FUZZ[:300]:
+            assert tokenize(text, rules) == tokenize_per_line(text, rules)
+
+
+@pytest.mark.parametrize("chunk_lines", [1, 7, 128, "default"])
+def test_tokens_do_not_depend_on_chunk_size(monkeypatch, chunk_lines):
+    lines = FUZZ[:600] + SEED_TEXT[:300]
+    for rules in (_rules("es"), _rules("fr", True, (r"(?s).+",))):
+        expected = [tokenize_per_line(line, rules) for line in lines]
+        if chunk_lines != "default":
+            monkeypatch.setattr(tokenizer, "_CHUNK_LINES", chunk_lines)
+        assert tokenize_lines(lines, rules) == expected
+        assert list(tokenize_stream(iter(lines), rules)) == expected
+        monkeypatch.undo()
+
+
+def test_empty_input_gives_no_lines():
+    assert tokenize_lines([], resolve_rules("es")) == []
+    assert list(tokenize_stream(iter(()), resolve_rules("es"))) == []
+
+
+def test_str_whitespace_is_regex_whitespace_outside_junk():
+    # The tokenizer collapses whitespace with str.split and splits words on
+    # " " and LF, where the rules speak of regex's \s: the two must agree on
+    # every code point that survives the control-character removal.
+    space = regex.compile(r"\s")
+    junk = regex.compile("[\\x00-\\x1f\\x7f]")
+    disagree = [
+        hex(cp)
+        for cp in range(sys.maxunicode + 1)
+        if not junk.match(chr(cp)) and bool(space.match(chr(cp))) != chr(cp).isspace()
+    ]
+    assert disagree == []
