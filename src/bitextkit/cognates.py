@@ -6,6 +6,10 @@ NFC-normalized; diacritics are kept, so accent-only differences count as
 distance 1 and are absorbed by the normalized threshold. Preservation then
 checks whether a system translation still contains each reference-side
 cognate form.
+
+Both searches are exact but pruned: two lower bounds on the edit distance,
+read off a per-chunk table of the words, skip most pairs before the
+bit-parallel kernel runs.
 """
 
 from __future__ import annotations
@@ -20,6 +24,9 @@ from .parallel import parallel_map
 
 DEFAULT_THRESHOLD = 0.3
 DEFAULT_MIN_LEN = 4
+
+# Sentence pairs per word table and per parallel_map item.
+_CHUNK_PAIRS = 128
 
 
 def edit_state(ref: Sequence) -> tuple:
@@ -122,48 +129,99 @@ class CognateReport:
         }
 
 
-def _sentence_cognates(args) -> tuple[list, int]:
-    index, source_text, target_text, threshold, min_len = args
-    src_tokens = source_text.split()
-    tgt_tokens = target_text.split()
-    eligible = [i for i, tok in enumerate(src_tokens) if len(tok) >= min_len]
-    if not eligible or not tgt_tokens:
-        return [], len(eligible)
+class _WordTable:
+    """Each raw token looked up, mapped once to ``(form, length, mask)``:
+    its normalized form, the form's length, and a bit mask of the form's
+    distinct characters, where each character new to the table gets the
+    next bit. Extraction builds one per chunk of pairs, ``preservation``
+    one per call."""
 
-    norm_src = {i: _norm(src_tokens[i]) for i in eligible}
-    norm_tgt = [_norm(tok) for tok in tgt_tokens]
+    def __init__(self):
+        self.entries: dict = {}
+        self.bits: dict = {}
 
-    candidates = []
-    for i in eligible:
-        src_norm = norm_src[i]
-        for j, tgt_norm in enumerate(norm_tgt):
-            dist = levenshtein(src_norm, tgt_norm)
-            nd = dist / max(len(src_norm), len(tgt_norm))
-            if nd <= threshold:
-                candidates.append((nd, i, j, dist))
-    # one-to-one greedy matching by ascending distance, ties by position
-    candidates.sort()
-    used_src: set = set()
-    used_tgt: set = set()
+    def __getitem__(self, token: str) -> tuple:
+        entry = self.entries.get(token)
+        if entry is None:
+            form = _norm(token)
+            mask = 0
+            for ch in set(form):
+                bit = self.bits.get(ch)
+                if bit is None:
+                    bit = self.bits[ch] = 1 << len(self.bits)
+                mask |= bit
+            entry = self.entries[token] = (form, len(form), mask)
+        return entry
+
+
+def _within(a: tuple, b: tuple, threshold: float) -> Optional[tuple]:
+    """``(distance, normalized distance)`` of two word-table entries when the
+    normalized distance is at most ``threshold``, else None.
+
+    Two lower bounds on the distance rule out most pairs before the kernel
+    runs: the difference in length, and the number of distinct characters
+    of one form that the other lacks (none of them can be matched, so each
+    costs an edit). Both are divided by the same length as the distance, so
+    the float comparison skips a pair only when the distance would fail it
+    too.
+    """
+    form_a, len_a, mask_a = a
+    form_b, len_b, mask_b = b
+    if form_a == form_b:
+        return (0, 0.0) if 0.0 <= threshold else None
+    longest = len_a if len_a > len_b else len_b
+    if abs(len_a - len_b) / longest > threshold:
+        return None
+    only_a = (mask_a & ~mask_b).bit_count()
+    only_b = (mask_b & ~mask_a).bit_count()
+    if (only_a if only_a > only_b else only_b) / longest > threshold:
+        return None
+    dist = levenshtein(form_a, form_b)
+    nd = dist / longest
+    return (dist, nd) if nd <= threshold else None
+
+
+def _chunk_cognates(args) -> list:
+    chunk, threshold, min_len = args
+    table = _WordTable()
     found = []
-    for nd, i, j, dist in candidates:
-        if i in used_src or j in used_tgt:
-            continue
-        used_src.add(i)
-        used_tgt.add(j)
-        found.append(
-            CognatePair(
-                source_word=src_tokens[i],
-                target_word=tgt_tokens[j],
-                distance=dist,
-                normalized_distance=nd,
-                source_sentence_index=index,
-                source_position=i,
-                target_position=j,
+    for index, source_text, target_text in chunk:
+        src_tokens = source_text.split()
+        tgt_tokens = target_text.split()
+        tgt_entries = [table[tok] for tok in tgt_tokens]
+        candidates = []
+        for i, tok in enumerate(src_tokens):
+            if len(tok) < min_len:
+                continue
+            src_entry = table[tok]
+            for j, tgt_entry in enumerate(tgt_entries):
+                hit = _within(src_entry, tgt_entry, threshold)
+                if hit is not None:
+                    candidates.append((hit[1], i, j, hit[0]))
+        # one-to-one greedy matching by ascending distance, ties by position
+        candidates.sort()
+        used_src: set = set()
+        used_tgt: set = set()
+        sentence = []
+        for nd, i, j, dist in candidates:
+            if i in used_src or j in used_tgt:
+                continue
+            used_src.add(i)
+            used_tgt.add(j)
+            sentence.append(
+                CognatePair(
+                    source_word=src_tokens[i],
+                    target_word=tgt_tokens[j],
+                    distance=dist,
+                    normalized_distance=nd,
+                    source_sentence_index=index,
+                    source_position=i,
+                    target_position=j,
+                )
             )
-        )
-    found.sort(key=lambda c: c.source_position)
-    return found, len(eligible)
+        sentence.sort(key=lambda c: c.source_position)
+        found.extend(sentence)
+    return found
 
 
 def extract_cognates(
@@ -177,14 +235,16 @@ def extract_cognates(
     Within a sentence, each source token of length >= ``min_len`` is matched
     one-to-one against target tokens, greedily by ascending normalized
     distance (ties resolved by leftmost positions), keeping matches within
-    ``threshold``.
+    ``threshold``. The search is exact: a pair is only skipped when a lower
+    bound on its distance is already over ``threshold``. Workers map over
+    chunks of ``_CHUNK_PAIRS`` pairs.
     """
     if not 0 < threshold <= 1:
         raise ValueError(f"threshold must be in (0, 1], got {threshold}")
-    jobs = [(p.index, p.source, p.target, threshold, min_len) for p in pairs]
-    results = parallel_map(_sentence_cognates, jobs, workers=workers)
+    jobs = [(p.index, p.source, p.target) for p in pairs]
+    chunks = [(jobs[start : start + _CHUNK_PAIRS], threshold, min_len) for start in range(0, len(jobs), _CHUNK_PAIRS)]
     cognates: list = []
-    for found, _ in results:
+    for found in parallel_map(_chunk_cognates, chunks, workers=workers):
         cognates.extend(found)
     return cognates
 
@@ -209,7 +269,7 @@ def preservation(
     ``cognate_rate`` reflects the share of candidate words that were
     cognates; it defaults to the number of cognates themselves.
     """
-    norm_sentences = {}
+    table = _WordTable()
     preserved = 0
     for cognate in cognates:
         idx = cognate.source_sentence_index
@@ -217,10 +277,8 @@ def preservation(
             raise IndexMismatch(
                 f"cognate at sentence {idx} outside system output of {len(system_output)} sentences"
             )
-        if idx not in norm_sentences:
-            norm_sentences[idx] = [_norm(tok) for tok in system_output[idx]]
-        target_norm = _norm(cognate.target_word)
-        if any(normalized_distance(target_norm, tok) <= threshold for tok in norm_sentences[idx]):
+        target = table[cognate.target_word]
+        if any(_within(target, table[tok], threshold) is not None for tok in system_output[idx]):
             preserved += 1
 
     total = len(cognates)

@@ -32,7 +32,6 @@ _JUNK = regex.compile("[\\x00-\\x1f\\x7f]")
 _SPECIALS = regex.compile(rf"([^{_ALNUM}\s.'`,\-])")
 _AGGRESSIVE_HYPHEN = regex.compile(rf"([{_ALNUM}])-(?=[{_ALNUM}])")
 _MULTIDOT = regex.compile(r"\.{2,}")
-_MULTIDOT_TOKEN = regex.compile(r"^MULTIDOT(\d+)$")
 _COMMA_RULES = (
     (regex.compile(rf"([^{_NUM}]),"), r"\1 , "),
     (regex.compile(rf",([^{_NUM}])"), r" , \1"),
@@ -61,8 +60,10 @@ _HAS_ALPHA = regex.compile(rf"[{_ALPHA}]")
 _STARTS_LOWER = regex.compile(r"^\p{Ll}")
 _STARTS_DIGIT = regex.compile(rf"^[{_NUM}]")
 
-_PROTECTED_FMT = "THISISPROTECTED{:03d}"
-_PROTECTED_TOKEN = regex.compile(r"^THISISPROTECTED(\d{3})$")
+# Placeholder words: a tag and a number. Neither tag overlaps itself or
+# the other, and both are letters, which no rule splits or joins.
+_MULTIDOT_TAG = "MULTIDOT"
+_PROTECTED_TAG = "THISISPROTECTED"
 
 _PREFIX_PACKAGE_DIR = "data/nonbreaking_prefixes"
 
@@ -159,23 +160,35 @@ def resolve_rules(
     return rules
 
 
-def _padded(line: str, patterns: list, protected: list) -> str:
+def _padded(line: str) -> str:
     """``line`` normalized to NFC, cleaned of control characters, its
-    whitespace collapsed and padded with a space on either side, and each
-    protected-pattern match stashed in ``protected`` behind a placeholder
-    word."""
+    whitespace collapsed and padded with a space on either side."""
     text = _JUNK.sub("", unicodedata.normalize("NFC", line))
     # after the junk is gone, str.split's whitespace is exactly regex's \s
-    text = " " + " ".join(text.split()) + " "
-    if patterns:
+    return " " + " ".join(text.split()) + " "
 
-        def _stash(m):
-            protected.append(m.group(0))
-            return " " + _PROTECTED_FMT.format(len(protected) - 1) + " "
 
-        for pattern in patterns:
-            text = pattern.sub(_stash, text)
+def _stashed(text: str, patterns: list, tag: str, protected: list) -> str:
+    """``text`` with each protected-pattern match stashed in ``protected``
+    behind a placeholder word."""
+
+    def _stash(m):
+        protected.append(m.group(0))
+        return f" {tag}{len(protected) - 1:03d} "
+
+    for pattern in patterns:
+        text = pattern.sub(_stash, text)
     return text
+
+
+def _free_tag(text: str, tag: str) -> str:
+    """``tag`` if it occurs nowhere in ``text``, else ``tag`` and more Q's
+    than follow any occurrence of it there. Every word that starts with the
+    returned tag is then a placeholder the tokenizer wrote: an input word
+    shaped like one tokenizes like any other word."""
+    if tag not in text:
+        return tag
+    return tag + "Q" * (max(len(run) for run in regex.findall(tag + "(Q*)", text)) + 1)
 
 
 def _split_periods(text: str, rules: TokenizerRules) -> str:
@@ -205,40 +218,48 @@ def _split_periods(text: str, rules: TokenizerRules) -> str:
     return " ".join([text[a:b] for a, b in zip(cuts, cuts[1:])])
 
 
-def _restore(tokens: list, protected: list) -> list:
-    """Tokens with each placeholder replaced by the text it stands for."""
+def _restore(tokens: list, multidot_tag: str, protected_tag: str, protected: list) -> list:
+    """Tokens with each placeholder replaced by the text it stands for. A
+    protected pattern may have matched part of an earlier pattern's
+    placeholder; what is left of it is restored only if it still ends in a
+    number."""
     restored = []
     for token in tokens:
-        m = _MULTIDOT_TOKEN.match(token)
-        if m:
-            restored.append("." * int(m.group(1)))
-            continue
-        m = _PROTECTED_TOKEN.match(token)
-        if m and int(m.group(1)) < len(protected):
-            restored.append(protected[int(m.group(1))])
-            continue
+        if token.startswith(multidot_tag):
+            token = "." * int(token[len(multidot_tag) :])
+        elif protected and token.startswith(protected_tag) and token[len(protected_tag) :].isdigit():
+            token = protected[int(token[len(protected_tag) :])]
         restored.append(token)
     return restored
 
 
 def _tokenize_chunk(lines: Sequence[str], rules: TokenizerRules, patterns: list) -> list:
-    stashes = [[] for _ in lines]
+    texts = [_padded(line) for line in lines]
+    # per line: the protected placeholder tag and the stashed matches
+    stashes = [("", [])] * len(lines)
+    if patterns:
+        stashes = [(_free_tag(text, _PROTECTED_TAG), []) for text in texts]
+        texts = [_stashed(text, patterns, tag, protected) for text, (tag, protected) in zip(texts, stashes)]
     # An LF inside a line is junk, so LF joins the lines unambiguously. Every
     # line starts and ends with a space, so no rule's match or context
     # reaches past its line, and no rule writes an LF.
-    text = "\n".join([_padded(line, patterns, protected) for line, protected in zip(lines, stashes)])
+    text = "\n".join(texts)
     text = _SPECIALS.sub(r" \1 ", text)
     if rules.aggressive_hyphen:
         text = _AGGRESSIVE_HYPHEN.sub(r"\1 @-@ ", text)
-    text = _MULTIDOT.sub(lambda m: f" MULTIDOT{len(m.group(0))} ", text)
+    multidot_tag = _free_tag(text, _MULTIDOT_TAG)
+    text = _MULTIDOT.sub(lambda m: f" {multidot_tag}{len(m.group(0))} ", text)
     for pattern, repl in _COMMA_RULES:
         text = pattern.sub(repl, text)
     for pattern, repl in _APOS_RULES[rules.apostrophe_class]:
         text = pattern.sub(repl, text)
     segments = _split_periods(text, rules).split("\n")
-    if "MULTIDOT" not in text and not any(stashes):
+    if multidot_tag not in text and not any(protected for _, protected in stashes):
         return [segment.split() for segment in segments]
-    return [_restore(segment.split(), protected) for segment, protected in zip(segments, stashes)]
+    return [
+        _restore(segment.split(), multidot_tag, tag, protected)
+        for segment, (tag, protected) in zip(segments, stashes)
+    ]
 
 
 def tokenize_lines(lines: Sequence[str], rules: TokenizerRules) -> list[list[str]]:

@@ -6,6 +6,11 @@ by all-pairs counting, RIBES alignment by rescanning both sides for every
 context window, Levenshtein by plain recursion, langid evidence by a
 Counter of each text's n-gram strings, one pair at a time, and Moses
 tokenization by every rule pass over one padded line at a time.
+
+The cognate oracles are the exception: they call the package's
+``levenshtein`` (itself checked against the DP matrix here) on every word
+pair, one sentence at a time, and build its ``CognatePair`` and
+``CognateReport``, so that what they check is the pruning and chunking.
 """
 
 import math
@@ -211,6 +216,68 @@ def levenshtein_recursive(a, b):
     return go(0, 0)
 
 
+def _cognate_norm(word):
+    return unicodedata.normalize("NFC", word).casefold()
+
+
+def cognates_per_pair(pairs, threshold, min_len):
+    """Cognates of tokenized pairs: ``levenshtein`` on every eligible source
+    word x target word of each sentence, then one-to-one greedy matching by
+    ascending ``(normalized distance, source position, target position)``."""
+    from bitextkit.cognates import CognatePair, levenshtein
+
+    cognates = []
+    for pair in pairs:
+        src_tokens = pair.source.split()
+        tgt_tokens = pair.target.split()
+        eligible = [i for i, tok in enumerate(src_tokens) if len(tok) >= min_len]
+        if not eligible or not tgt_tokens:
+            continue
+        norm_tgt = [_cognate_norm(tok) for tok in tgt_tokens]
+        candidates = []
+        for i in eligible:
+            src_norm = _cognate_norm(src_tokens[i])
+            for j, tgt_norm in enumerate(norm_tgt):
+                dist = levenshtein(src_norm, tgt_norm)
+                nd = dist / max(len(src_norm), len(tgt_norm))
+                if nd <= threshold:
+                    candidates.append((nd, i, j, dist))
+        candidates.sort()
+        used_src, used_tgt, found = set(), set(), []
+        for nd, i, j, dist in candidates:
+            if i in used_src or j in used_tgt:
+                continue
+            used_src.add(i)
+            used_tgt.add(j)
+            found.append(CognatePair(src_tokens[i], tgt_tokens[j], dist, nd, pair.index, i, j))
+        found.sort(key=lambda c: c.source_position)
+        cognates.extend(found)
+    return cognates
+
+
+def preservation_per_token(cognates, system_output, threshold, examined=None):
+    """The cognate report with ``normalized_distance`` against every system
+    token of each cognate's sentence."""
+    from bitextkit.cognates import CognateReport, normalized_distance
+
+    preserved = 0
+    for cognate in cognates:
+        target = _cognate_norm(cognate.target_word)
+        tokens = [_cognate_norm(tok) for tok in system_output[cognate.source_sentence_index]]
+        if any(normalized_distance(target, tok) <= threshold for tok in tokens):
+            preserved += 1
+    total = len(cognates)
+    pool = examined if examined is not None else total
+    return CognateReport(
+        pairs_examined=pool,
+        cognate_pairs=total,
+        cognate_rate=(total / pool) if pool else 0.0,
+        preserved=preserved,
+        preservation_rate=(preserved / total) if total else 0.0,
+        threshold=threshold,
+    )
+
+
 def _normalize(text):
     return " ".join(unicodedata.normalize("NFC", text).lower().split())
 
@@ -315,7 +382,6 @@ _WS = regex.compile(r"\s+")
 _SPECIALS = regex.compile(rf"([^{_ALNUM}\s.'`,\-])")
 _AGGRESSIVE_HYPHEN = regex.compile(rf"([{_ALNUM}])-(?=[{_ALNUM}])")
 _MULTIDOT = regex.compile(r"\.{2,}")
-_MULTIDOT_TOKEN = regex.compile(r"^MULTIDOT(\d+)$")
 _COMMA_RULES = (
     (regex.compile(rf"([^{_NUM}]),"), r"\1 , "),
     (regex.compile(rf",([^{_NUM}])"), r" , \1"),
@@ -340,8 +406,6 @@ _ENDS_WITH_PERIOD = regex.compile(r"^(\S+)\.$")
 _HAS_ALPHA = regex.compile(rf"[{_ALPHA}]")
 _STARTS_LOWER = regex.compile(r"^\p{Ll}")
 _STARTS_DIGIT = regex.compile(rf"^[{_NUM}]")
-_PROTECTED_FMT = "THISISPROTECTED{:03d}"
-_PROTECTED_TOKEN = regex.compile(r"^THISISPROTECTED(\d{3})$")
 
 
 def _handle_periods(words, rules):
@@ -376,12 +440,20 @@ def tokenize_per_line(text, rules):
     text = _JUNK.sub("", text)
     text = " " + _WS.sub(" ", text).strip() + " "
 
+    # a placeholder tag the line does not contain, so that only the words
+    # written here are restored
+    def unused_tag(tag):
+        while tag in text:
+            tag += "Q"
+        return tag
+
     protected = []
+    protected_tag = unused_tag("THISISPROTECTED")
     if rules.protected_patterns:
 
         def _stash(m):
             protected.append(m.group(0))
-            return " " + _PROTECTED_FMT.format(len(protected) - 1) + " "
+            return f" {protected_tag}{len(protected) - 1:03d} "
 
         for pattern in rules.protected_patterns:
             text = regex.sub(pattern, _stash, text)
@@ -389,7 +461,8 @@ def tokenize_per_line(text, rules):
     text = _SPECIALS.sub(r" \1 ", text)
     if rules.aggressive_hyphen:
         text = _AGGRESSIVE_HYPHEN.sub(r"\1 @-@ ", text)
-    text = _MULTIDOT.sub(lambda m: f" MULTIDOT{len(m.group(0))} ", text)
+    multidot_tag = unused_tag("MULTIDOT")
+    text = _MULTIDOT.sub(lambda m: f" {multidot_tag}{len(m.group(0))} ", text)
     for pattern, repl in _COMMA_RULES:
         text = pattern.sub(repl, text)
     for pattern, repl in _APOS_RULES[rules.apostrophe_class]:
@@ -397,14 +470,16 @@ def tokenize_per_line(text, rules):
 
     tokens = _handle_periods(text.split(), rules)
 
+    multidot_token = regex.compile(rf"^{multidot_tag}(\d+)$")
+    protected_token = regex.compile(rf"^{protected_tag}(\d+)$")
     restored = []
     for token in tokens:
-        m = _MULTIDOT_TOKEN.match(token)
+        m = multidot_token.match(token)
         if m:
             restored.append("." * int(m.group(1)))
             continue
-        m = _PROTECTED_TOKEN.match(token)
-        if m and int(m.group(1)) < len(protected):
+        m = protected_token.match(token)
+        if m:
             restored.append(protected[int(m.group(1))])
             continue
         restored.append(token)

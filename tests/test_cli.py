@@ -368,6 +368,28 @@ def test_cognates_command_with_dump(runner, tmp_path, data_dir):
     assert len(lines) == payload["cognate_pairs"] + 1
 
 
+def test_cognates_dump_is_the_same_for_one_and_two_workers(runner, tmp_path):
+    # 420 pairs: three full chunks of 128 pairs and a ragged one
+    es = (SEED_DIR / "es.txt").read_text(encoding="utf-8").splitlines()
+    sources = (SEED_DIR / "ca.txt").read_text(encoding="utf-8").splitlines() + (SEED_DIR / "pt.txt").read_text(
+        encoding="utf-8"
+    ).splitlines()
+    src = tmp_path / "src.txt"
+    ref = tmp_path / "ref.txt"
+    src.write_text("\n".join(sources) + "\n", encoding="utf-8")
+    ref.write_text("\n".join(es + es) + "\n", encoding="utf-8")
+    outputs = []
+    for workers in ("1", "2"):
+        dump = tmp_path / f"pairs.{workers}.tsv"
+        args = ["cognates", "--src", str(src), "--ref", str(ref), "--sys", str(ref), "--dump", str(dump)]
+        result = runner.invoke(cli, args + ["--workers", workers])
+        assert result.exit_code == 0, result.output
+        outputs.append((dump.read_bytes(), result.stdout))
+    assert len(sources) == 420
+    assert outputs[0] == outputs[1]
+    assert outputs[0][0].count(b"\n") > 1000
+
+
 def test_cognates_dump_to_redirected_stdout_keeps_both_streams(tmp_path, data_dir):
     rows = [l.split("\t") for l in (data_dir / "cognates_ca_es.tsv").read_text(encoding="utf-8").splitlines()][:10]
     src = tmp_path / "src.txt"

@@ -1,10 +1,14 @@
 import random
+import unicodedata
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import find, given, settings
 from hypothesis import strategies as st
 
+from bitextkit import cognates as cognates_module
 from bitextkit.cognates import (
+    _WordTable,
+    _within,
     advance,
     count_examined,
     edit_state,
@@ -16,7 +20,8 @@ from bitextkit.cognates import (
 from bitextkit.corpus_io import SentencePair
 from bitextkit.exceptions import IndexMismatch
 
-from oracles import edit_distance_matrix, levenshtein_recursive
+from oracles import cognates_per_pair, edit_distance_matrix, levenshtein_recursive, preservation_per_token
+from synth import seed_lines
 
 _WORD = st.text(alphabet="abcdefgàéíñç", max_size=12)
 
@@ -209,3 +214,207 @@ class TestPreservation:
         report = preservation(found, [p.target.split() for p in pairs], examined=10)
         assert report.pairs_examined == 10
         assert report.cognate_rate == pytest.approx(len(found) / 10)
+
+
+# The float boundary cases: 0.25 and 0.5 are exact in binary, 1/3 is not,
+# and 1.0 accepts every pair.
+THRESHOLDS = (0.25, 1 / 3, 0.5, 1.0)
+
+_SPECIAL_WORDS = (
+    "Straße", "STRASSE", "strasse", "straße", "İstanbul", "istanbul", "i̇stanbul", "İ", "i",
+    "éxito", "e\u0301xito", "Éxito", "exito", "canción", "cancio\u0301n", "cançó", "canço\u0301",
+    "ﬁnal", "final", "Ǆemal", "ǆemal", "ΣΟΦΟΣ", "σοφος", "σοφοσ",
+)
+
+
+def _mutated(rng, word):
+    chars = list(word)
+    for _ in range(rng.randrange(3)):
+        op = rng.randrange(4)
+        pos = rng.randrange(len(chars) + 1)
+        if op == 0:
+            chars.insert(pos, rng.choice("aeiouéàçñß\u0301"))
+        elif op == 1 and pos < len(chars):
+            del chars[pos]
+        elif op == 2 and pos < len(chars):
+            chars[pos] = rng.choice("aeiouéàçñß")
+        elif op == 3 and pos < len(chars):
+            chars[pos] = chars[pos].upper()
+    return "".join(chars) or word
+
+
+def _random_word(rng, vocabulary):
+    roll = rng.random()
+    if roll < 0.1:
+        return rng.choice(_SPECIAL_WORDS)
+    if roll < 0.15:  # 100+ characters over a small alphabet, so that some are close
+        return "".join(rng.choice("abé") for _ in range(rng.randint(100, 140)))
+    if roll < 0.2:
+        return unicodedata.normalize("NFD", rng.choice(vocabulary))
+    return rng.choice(vocabulary)
+
+
+def random_cognate_pairs(seed, count):
+    """Seeded pairs whose targets copy, accent-shift, mutate or repeat source
+    words among unrelated ones; one in ten targets is empty."""
+    rng = random.Random(seed)
+    vocabulary = sorted({w for lang in ("ca", "es") for line in seed_lines(lang)[:60] for w in line.split()})
+    pairs = []
+    for index in range(count):
+        source = [_random_word(rng, vocabulary) for _ in range(rng.randrange(9))]
+        if source and rng.random() < 0.2:
+            source.append(rng.choice(source))  # a repeated word
+        target = []
+        if rng.random() >= 0.1:
+            for word in source:
+                roll = rng.random()
+                if roll < 0.3:
+                    target.append(word)
+                elif roll < 0.7:
+                    target.append(_mutated(rng, word))
+                elif roll < 0.8:
+                    target.extend([word, word])
+            target += [_random_word(rng, vocabulary) for _ in range(rng.randrange(4))]
+            rng.shuffle(target)
+        pairs.append(_pair(index, " ".join(source), " ".join(target)))
+    return pairs
+
+
+def _system_for(rng, pairs):
+    """A system output per pair: its target with words dropped, mutated or
+    kept, so that some cognates survive and some do not."""
+    system = []
+    for p in pairs:
+        tokens = []
+        for word in p.target.split():
+            roll = rng.random()
+            if roll < 0.5:
+                tokens.append(word)
+            elif roll < 0.8:
+                tokens.append(_mutated(rng, word))
+        system.append(tokens)
+    return system
+
+
+RANDOM_PAIRS = random_cognate_pairs(2024, 2000)
+
+
+def _fixture_pairs(data_dir):
+    rows = [l.split("\t") for l in (data_dir / "cognates_ca_es.tsv").read_text(encoding="utf-8").splitlines()]
+    return [_pair(i, s, t) for i, (s, t) in enumerate(rows)]
+
+
+class TestPrunedSearchEqualsOracle:
+    """The pruned, chunked search against the per-pair search it replaced."""
+
+    @pytest.mark.parametrize("min_len", [1, 4])
+    @pytest.mark.parametrize("threshold", THRESHOLDS + (0.3,))
+    def test_fixture(self, data_dir, threshold, min_len):
+        pairs = _fixture_pairs(data_dir)
+        found = extract_cognates(pairs, threshold=threshold, min_len=min_len)
+        assert found == cognates_per_pair(pairs, threshold, min_len)
+        examined = count_examined(pairs, min_len)
+        for system in ([p.target.split() for p in pairs], _system_for(random.Random(5), pairs)):
+            assert preservation(found, system, threshold, examined) == preservation_per_token(
+                found, system, threshold, examined
+            )
+
+    @pytest.mark.parametrize("min_len", [1, 4])
+    @pytest.mark.parametrize("threshold", THRESHOLDS)
+    def test_random_pairs(self, threshold, min_len):
+        found = extract_cognates(RANDOM_PAIRS, threshold=threshold, min_len=min_len)
+        assert found == cognates_per_pair(RANDOM_PAIRS, threshold, min_len)
+        system = _system_for(random.Random(threshold), RANDOM_PAIRS)
+        assert preservation(found, system, threshold) == preservation_per_token(found, system, threshold)
+
+    def test_random_pairs_cover_the_edge_cases(self):
+        found = cognates_per_pair(RANDOM_PAIRS, 0.5, 1)
+        assert any(not p.target for p in RANDOM_PAIRS)
+        assert any(len(c.source_word) >= 100 and c.distance > 0 for c in found)
+        assert any(c.source_word != c.target_word and c.distance == 0 for c in found)  # case, NFD, ß
+        assert any(c.normalized_distance == 0.5 for c in found)
+        assert len(found) > 5000
+
+    def test_distance_equal_to_the_threshold_is_kept(self):
+        (cog,) = extract_cognates([_pair(0, "gats", "gata")], threshold=0.25, min_len=4)
+        assert (cog.distance, cog.normalized_distance) == (1, 0.25)
+        assert extract_cognates([_pair(0, "gats", "gata")], threshold=0.24999, min_len=4) == []
+        (cog,) = extract_cognates([_pair(0, "gat", "gas")], threshold=1 / 3, min_len=3)
+        assert cog.normalized_distance == 1 / 3
+        assert preservation([cog], [["gas"]], threshold=1 / 3).preserved == 1
+        assert preservation([cog], [["ga"]], threshold=1 / 3).preserved == 1  # length bound 1/3
+        assert preservation([cog], [["gxx"]], threshold=1 / 3).preserved == 0
+        assert preservation([cog], [["gat"]], threshold=0.3).preserved == 0
+
+
+class TestWorkersAndChunks:
+    def test_workers_give_identical_results_over_several_chunks(self):
+        pairs = RANDOM_PAIRS[:333]  # two full chunks of 128 and a ragged one
+        assert len(pairs) > 2 * cognates_module._CHUNK_PAIRS
+        one = extract_cognates(pairs, threshold=1 / 3, min_len=4)
+        assert one == cognates_per_pair(pairs, 1 / 3, 4)
+        for workers in (2, 4):
+            assert extract_cognates(pairs, threshold=1 / 3, min_len=4, workers=workers) == one
+
+    @pytest.mark.parametrize("chunk_pairs", [1, 7, 128, 5000])
+    def test_chunk_size_does_not_change_results(self, monkeypatch, chunk_pairs):
+        pairs = RANDOM_PAIRS[:400]
+        monkeypatch.setattr(cognates_module, "_CHUNK_PAIRS", chunk_pairs)
+        assert extract_cognates(pairs, threshold=0.5, min_len=1) == cognates_per_pair(pairs, 0.5, 1)
+
+
+_ANY_WORD = st.text(
+    alphabet=st.sampled_from("abcdeéèßİıiIsS\u0301\u0307ﬁΣσς"), min_size=0, max_size=14
+)
+
+
+class TestLowerBounds:
+    """The length bound and the character bound are lower bounds on the
+    distance of the normalized forms."""
+
+    @staticmethod
+    def _entries(a, b):
+        table = _WordTable()
+        return table[a], table[b]
+
+    @settings(max_examples=400)
+    @given(_ANY_WORD, _ANY_WORD)
+    def test_each_bound_is_at_most_the_distance(self, a, b):
+        (form_a, len_a, mask_a), (form_b, len_b, mask_b) = self._entries(a, b)
+        dist = levenshtein(form_a, form_b)
+        assert abs(len_a - len_b) <= dist
+        assert max((mask_a & ~mask_b).bit_count(), (mask_b & ~mask_a).bit_count()) <= dist
+
+    def test_a_bound_counting_one_side_with_multiplicity_fails(self):
+        def mutant_exceeds_distance(words):
+            entry_a, entry_b = self._entries(*words)
+            # characters of a, with repeats, less the distinct ones it shares
+            mutant = entry_a[1] - (entry_a[2] & entry_b[2]).bit_count()
+            return mutant > levenshtein(entry_a[0], entry_b[0])
+
+        # raises NoSuchExample if the property cannot tell the mutant apart
+        find(st.tuples(_ANY_WORD, _ANY_WORD), mutant_exceeds_distance)
+
+    @settings(max_examples=400)
+    @given(_ANY_WORD, _ANY_WORD)
+    def test_no_bound_rejects_a_pair_at_its_own_distance(self, a, b):
+        # at a threshold equal to the pair's normalized distance, the pair
+        # must reach the kernel and be kept: a bound over the distance
+        # would skip it
+        entry_a, entry_b = self._entries(a, b)
+        longest = max(entry_a[1], entry_b[1])
+        dist = levenshtein(entry_a[0], entry_b[0])
+        nd = dist / longest if longest else 0.0
+        assert _within(entry_a, entry_b, nd) == (dist, nd)
+
+    def test_bounds_skip_most_kernel_calls(self, monkeypatch, data_dir):
+        calls = []
+        kernel = cognates_module.levenshtein
+        monkeypatch.setattr(cognates_module, "levenshtein", lambda a, b: calls.append(1) or kernel(a, b))
+        pairs = _fixture_pairs(data_dir)
+        found = extract_cognates(pairs)
+        comparisons = sum(
+            sum(1 for tok in p.source.split() if len(tok) >= 4) * len(p.target.split()) for p in pairs
+        )
+        assert 0 < len(calls) < comparisons / 4
+        assert found == cognates_per_pair(pairs, 0.3, 4)

@@ -1,5 +1,6 @@
 import random
 import sys
+import tracemalloc
 
 import pytest
 import regex
@@ -259,3 +260,43 @@ def test_str_whitespace_is_regex_whitespace_outside_junk():
         if not junk.match(chr(cp)) and bool(space.match(chr(cp))) != chr(cp).isspace()
     ]
     assert disagree == []
+
+
+def test_input_words_shaped_like_placeholders_tokenize_like_other_words():
+    en = resolve_rules("en")
+    assert tokenize("see MULTIDOT5 now", en) == ["see", "MULTIDOT5", "now"]
+    assert tokenize("wait... (MULTIDOT2) MULTIDOTQ.. x", en) == [
+        "wait", "...", "(", "MULTIDOT2", ")", "MULTIDOTQ", "..", "x",
+    ]
+    # the control character is removed before the rules run
+    assert tokenize("MULTI\x00DOT5 ...", en) == ["MULTIDOT5", "..."]
+    tagged = resolve_rules("en", protected_patterns=(r"<[^>]+>",))
+    assert tokenize("code THISISPROTECTED000 here <b>", tagged) == ["code", "THISISPROTECTED000", "here", "<b>"]
+    assert tokenize("<i> THISISPROTECTED1 THISISPROTECTEDQ0 ...", tagged) == [
+        "<i>", "THISISPROTECTED1", "THISISPROTECTEDQ0", "...",
+    ]
+    # one line's look-alike does not change how another line is restored
+    lines = ["MULTIDOT3 THISISPROTECTED000", "a... <b> c", "<u>.."]
+    assert tokenize_lines(lines, tagged) == [
+        ["MULTIDOT3", "THISISPROTECTED000"], ["a", "...", "<b>", "c"], ["<u>", ".."],
+    ]
+    assert tokenize_lines(lines, tagged) == [tokenize_per_line(line, tagged) for line in lines]
+
+
+def test_multidot_and_a_long_digit_run_allocates_nothing_large():
+    word = "MULTIDOT" + "9" * 30
+    tracemalloc.start()
+    try:
+        got = tokenize(f"see {word} now...", resolve_rules("en"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == ["see", word, "now", "..."]
+    assert peak < 1_000_000
+
+
+def test_more_than_a_thousand_protected_matches_are_all_restored():
+    rules = resolve_rules("en", protected_patterns=(r"<[^>]+>",))
+    line = " ".join(f"<t{i}>" for i in range(1005))
+    assert tokenize(line, rules) == [f"<t{i}>" for i in range(1005)]
+    assert tokenize_per_line(line, rules) == tokenize(line, rules)
