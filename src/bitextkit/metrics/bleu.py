@@ -10,11 +10,11 @@ is 0.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
 from ..exceptions import EmptyCorpus, LineCountMismatch
-from .ngrams import ngram_positions
 
 MAX_ORDER = 4
 
@@ -47,12 +47,37 @@ def _closest_ref_len(hyp_len: int, refs: Sequence[Tokens]) -> int:
     return best_len
 
 
+def _grams(tokens: Tokens, n: int) -> list:
+    """The n-grams of ``tokens`` as tuples, in order."""
+    return [tuple(tokens[k : k + n]) for k in range(len(tokens) - n + 1)]
+
+
+def _clipped(hyp: Tokens, refs: Sequence[Tokens], n: int) -> int:
+    """The n-gram matches of ``hyp``: each gram counts at most as often as
+    it occurs in one of the references, whichever has it most."""
+    grams = _grams(hyp, n)
+    distinct = set(grams)
+    if len(distinct) == len(grams):  # every count is 1: a gram matches where any reference has it
+        return len(set().union(*(distinct.intersection(_grams(ref, n)) for ref in refs)))
+    clip = Counter(_grams(refs[0], n))
+    for ref in refs[1:]:
+        clip |= Counter(_grams(ref, n))
+    return sum(min(count, clip.get(gram, 0)) for gram, count in Counter(grams).items())
+
+
 def _segment_stats(hyp: Tokens, refs: Sequence[Tokens], correct: list, total: list) -> None:
-    ref_indexes = [ngram_positions(ref, MAX_ORDER) for ref in refs]
-    for gram, starts in ngram_positions(hyp, MAX_ORDER).items():
-        clip = max(len(index.get(gram, ())) for index in ref_indexes)
-        correct[len(gram) - 1] += min(len(starts), clip)
-        total[len(gram) - 1] += len(starts)
+    """Add the segment's clipped and total n-gram counts, n = 1..4.
+
+    A hypothesis has ``max(0, len - n + 1)`` n-grams. When it equals a
+    reference, that reference clips none of them, and the clip is a
+    maximum over references, so every gram counts in full.
+    """
+    hyp = tuple(hyp)
+    copy = any(tuple(ref) == hyp for ref in refs)
+    for n in range(1, MAX_ORDER + 1):
+        grams = max(0, len(hyp) - n + 1)
+        total[n - 1] += grams
+        correct[n - 1] += grams if copy else _clipped(hyp, refs, n)
 
 
 def _score_from_stats(

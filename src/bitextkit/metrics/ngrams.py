@@ -1,4 +1,7 @@
-"""The n-gram index shared by BLEU, RIBES and TER."""
+"""The n-gram index of TER's shift spans and RIBES's unigrams.
+
+BLEU does not use it: it needs only how often each gram occurs, not where,
+and counts the grams of one order at a time (``bleu._clipped``)."""
 
 from __future__ import annotations
 

@@ -13,6 +13,7 @@ The score against multiple references is the maximum over references.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -87,20 +88,28 @@ def normalized_kendall_tau(positions: Sequence[int]) -> float:
     """Normalized Kendall's tau, NKT = (tau + 1)/2, not raw tau.
 
     For distinct ranks this equals the fraction of strictly ascending pairs,
-    which is what is counted; 0.0 with fewer than 2 positions.
+    which is what is counted: each position adds the number of earlier
+    positions below it, read off a sorted list of them. 0.0 with fewer
+    than 2 positions.
     """
     n = len(positions)
     if n < 2:
         return 0.0
-    ascending = sum(
-        1 for i in range(n - 1) for j in range(i + 1, n) if positions[i] < positions[j]
-    )
+    earlier: list = []
+    ascending = 0
+    for position in positions:
+        ascending += bisect_left(earlier, position)
+        insort(earlier, position)
     return ascending / (n * (n - 1) / 2)
 
 
 def _single_ref(hyp: Tokens, ref: Tokens, alpha: float, beta: float) -> RibesScore:
     if len(hyp) == 0:
         return RibesScore(0.0, 0.0, 0.0, 0.0, alpha, beta)
+    if len(hyp) >= 2 and tuple(hyp) == tuple(ref) and len(set(hyp)) == len(hyp):
+        # a copy of distinct words aligns each word to itself, so NKT,
+        # precision and BP are each exactly 1.0, as computed below
+        return RibesScore(1.0, 1.0, 1.0, 1.0, alpha, beta)
     bp = min(1.0, math.exp(1.0 - len(ref) / len(hyp)))
     positions = word_alignment(ref, hyp)
     nkt = normalized_kendall_tau(positions)

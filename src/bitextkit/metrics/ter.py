@@ -9,11 +9,23 @@ from a backtrace over the bit-parallel DP columns of the final hypothesis.
 With several references, the reference yielding the fewest edits is used
 while the denominator is the average reference length, so the rate can
 exceed 1 (or 100 when rendered as a percentage).
+
+Two exact shortcuts give the same edits as the full search:
+
+- A hypothesis equal to a reference has 0 edits, and no other hypothesis
+  has, so it is scored without a search.
+- Every candidate is a reordering of the hypothesis, so none is closer to
+  the reference than the bag distance (``_bag_floor``). Once the distance
+  is at that floor no shift can lower it, so the search stops there. A
+  round returns its first candidate at the floor, since a later one can
+  at best tie, and a tie keeps the earlier.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Sequence
 
 from ..cognates import advance, edit_state
@@ -92,11 +104,21 @@ def _edit_breakdown(hyp: tuple, ref: Tokens, columns: list) -> tuple[int, int, i
     return ins, dels, subs
 
 
-def _best_shift(hyp: tuple, ctx: tuple, columns: list, index: dict, max_shift_size: int) -> tuple:
+def _bag_floor(hyp: Tokens, ref: Tokens) -> int:
+    """The bag distance: ``max(|hyp|, |ref|)`` less the words the two share,
+    counted with multiplicity. It is a lower bound on the edit distance
+    (Bartolini et al. 2002), and it is the same for every reordering of
+    ``hyp``, so no shift brings ``hyp`` below it."""
+    return max(len(hyp), len(ref)) - (Counter(hyp) & Counter(ref)).total()
+
+
+def _best_shift(hyp: tuple, ctx: tuple, columns: list, index: dict, max_shift_size: int, floor: int) -> tuple:
     """``(distance, candidate)`` of the best rearrangement, or ``(None, None)``.
 
     A candidate agrees with ``hyp`` on its first ``min(start, dest)``
     words, so its distance resumes from the prefix column of that length.
+    The first candidate at ``floor`` is returned at once: no later one can
+    be lower, and a tie keeps the earlier.
     """
     best_dist = None
     best_hyp = None
@@ -119,18 +141,22 @@ def _best_shift(hyp: tuple, ctx: tuple, columns: list, index: dict, max_shift_si
                 if best_dist is None or dist < best_dist:
                     best_dist = dist
                     best_hyp = candidate
+                    if dist == floor:
+                        return best_dist, best_hyp
     return best_dist, best_hyp
 
 
-def _edits_against(hyp: Tokens, ref: Tokens, shifts: bool, max_shift_size: int) -> EditCounts:
+def _edits_against(hyp: tuple, ref: Tokens, shifts: bool, max_shift_size: int) -> EditCounts:
+    """The shift search stops at the bag floor, where the full search
+    would find no shift that lowers the distance."""
     ctx, start_column = edit_state(ref)
-    current = tuple(hyp)
+    current = hyp
     columns = _prefix_columns(ctx, start_column, current)
     n_shifts = 0
-    if shifts and columns[-1][2]:
+    if shifts and columns[-1][2] > (floor := _bag_floor(hyp, ref)):
         index = ngram_positions(ref, max_shift_size)
-        while columns[-1][2] > 0:
-            dist, candidate = _best_shift(current, ctx, columns, index, max_shift_size)
+        while columns[-1][2] > floor:
+            dist, candidate = _best_shift(current, ctx, columns, index, max_shift_size, floor)
             if candidate is None or dist >= columns[-1][2]:
                 break
             current = candidate
@@ -154,11 +180,11 @@ def ter(
     """
     if not refs:
         raise ValueError("at least one reference is required")
-    best = None
-    for ref in refs:
-        counts = _edits_against(hyp, ref, shifts, max_shift_size)
-        if best is None or counts.total < best.total:
-            best = counts
+    hyp = tuple(hyp)
+    if any(tuple(ref) == hyp for ref in refs):
+        best = EditCounts(0, 0, 0, 0)  # only a copy has no edits
+    else:
+        best = min((_edits_against(hyp, ref, shifts, max_shift_size) for ref in refs), key=attrgetter("total"))
     ref_len = sum(len(r) for r in refs) / len(refs)
     return TerScore(best.total / (ref_len if ref_len > 0 else 1.0), best, ref_len)
 

@@ -206,19 +206,26 @@ class _Manifest:
         self.stages.append(
             {
                 "name": name,
+                "status": "ok",
                 "inputs": {str(p): _sha256(p) for p in inputs},
                 "outputs": {str(p): _sha256(p) for p in outputs},
             }
         )
 
-    def write(self, path) -> None:
+    def write(self, path, failure: Optional[StageFailure] = None) -> None:
+        """The manifest of the stages recorded so far; after a ``failure``,
+        the failed stage follows them with its error."""
+        stages = self.stages
+        if failure is not None:
+            stages = stages + [{"name": failure.stage, "status": "failed", "error": str(failure.cause)}]
         dump_json(
             path,
             {
                 "tool_version": __version__,
                 "created_unix": time.time(),
                 "config_echo": self.config.to_dict(),
-                "stages": self.stages,
+                "failed_stage": failure.stage if failure is not None else None,
+                "stages": stages,
             },
         )
 
@@ -375,12 +382,17 @@ def _run_eval(config: PipelineConfig, out: Path, manifest: _Manifest) -> None:
 
 def run_pipeline(config: PipelineConfig) -> None:
     """Run the configured task, writing artifacts and a manifest to
-    ``config.out_dir``. Raises StageFailure naming the first failed stage."""
+    ``config.out_dir``. Raises StageFailure naming the first failed stage,
+    after writing a manifest that names it too."""
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     manifest = _Manifest(config)
-    if config.task == "prep":
-        _run_prep(config, out, manifest)
-    else:
-        _run_eval(config, out, manifest)
+    try:
+        if config.task == "prep":
+            _run_prep(config, out, manifest)
+        else:
+            _run_eval(config, out, manifest)
+    except StageFailure as failure:
+        manifest.write(out / "manifest.json", failure)
+        raise
     manifest.write(out / "manifest.json")

@@ -170,14 +170,19 @@ def _padded(line: str) -> str:
 
 def _stashed(text: str, patterns: list, tag: str, protected: list) -> str:
     """``text`` with each protected-pattern match stashed in ``protected``
-    behind a placeholder word."""
+    behind a placeholder word. A later pattern runs on each stretch of
+    input between earlier matches, one stretch at a time, so it can
+    neither match into a placeholder nor see one."""
 
     def _stash(m):
         protected.append(m.group(0))
         return f" {tag}{len(protected) - 1:03d} "
 
+    placeholder = regex.compile(f"( {tag}\\d+ )")  # the tag is nowhere in the input
     for pattern in patterns:
-        text = pattern.sub(_stash, text)
+        pieces = placeholder.split(text)
+        pieces[::2] = [pattern.sub(_stash, piece) for piece in pieces[::2]]
+        text = "".join(pieces)
     return text
 
 

@@ -447,16 +447,26 @@ def tokenize_per_line(text, rules):
             tag += "Q"
         return tag
 
+    # each pattern matches only the stretches of input between the matches
+    # of earlier patterns, each stretch on its own
     protected = []
     protected_tag = unused_tag("THISISPROTECTED")
-    if rules.protected_patterns:
-
-        def _stash(m):
-            protected.append(m.group(0))
-            return f" {protected_tag}{len(protected) - 1:03d} "
-
-        for pattern in rules.protected_patterns:
-            text = regex.sub(pattern, _stash, text)
+    parts = [(False, text)]  # (stashed?, the input text or its stash index)
+    for pattern in rules.protected_patterns:
+        split = []
+        for stashed, part in parts:
+            if stashed:
+                split.append((True, part))
+                continue
+            last = 0
+            for m in regex.finditer(pattern, part):
+                split.append((False, part[last : m.start()]))
+                protected.append(m.group(0))
+                split.append((True, len(protected) - 1))
+                last = m.end()
+            split.append((False, part[last:]))
+        parts = split
+    text = "".join(f" {protected_tag}{part:03d} " if stashed else part for stashed, part in parts)
 
     text = _SPECIALS.sub(r" \1 ", text)
     if rules.aggressive_hyphen:

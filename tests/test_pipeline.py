@@ -428,6 +428,30 @@ def test_eval_line_count_mismatches_fail_their_stages(tmp_path):
     assert str(failure.value) == f"stage 'cognates' failed: {config.source} / {config.ref}: line counts differ: 1 vs 2"
 
 
+def test_a_failed_stage_still_writes_the_manifest(tmp_path):
+    # the reference is one line short, so the score stage fails
+    config = _eval_config(tmp_path, ["el gato negro", "la casa"], ["el gat negre"], ["el gat negre", "la casa"])
+    with pytest.raises(StageFailure) as failure:
+        run_pipeline(config)
+    assert failure.value.stage == "score"
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text(encoding="utf-8"))
+    assert manifest["failed_stage"] == "score"
+    assert [(s["name"], s["status"]) for s in manifest["stages"]] == [("detokenize", "ok"), ("score", "failed")]
+    detokenize, score = manifest["stages"]
+    assert set(detokenize["outputs"]) == {str(tmp_path / "out" / name) for name in ("detokenized.hyp", "detokenize_report.json")}
+    assert score["error"] == str(failure.value.cause)
+    assert not (tmp_path / "out" / "score.json").exists()
+
+    # a later run that succeeds replaces it
+    config = _eval_config(tmp_path, ["el gato negro", "la casa"], ["el gat negre", "la casa"], ["el gat negre", "la casa"])
+    run_pipeline(config)
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text(encoding="utf-8"))
+    assert manifest["failed_stage"] is None
+    assert [(s["name"], s["status"]) for s in manifest["stages"]] == [
+        ("detokenize", "ok"), ("score", "ok"), ("cognates", "ok"),
+    ]
+
+
 def test_dump_json_failure_keeps_the_previous_file(tmp_path):
     path = tmp_path / "report.json"
     dump_json(path, {"a": 1})

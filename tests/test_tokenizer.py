@@ -295,6 +295,16 @@ def test_multidot_and_a_long_digit_run_allocates_nothing_large():
     assert peak < 1_000_000
 
 
+def test_a_later_protected_pattern_sees_only_the_text_between_earlier_matches():
+    rules = resolve_rules("en", protected_patterns=(r"<[^>]+>", r"\d+"))
+    assert tokenize("x <b> y 42", rules) == ["x", "<b>", "y", "42"]
+    assert tokenize_per_line("x <b> y 42", rules) == ["x", "<b>", "y", "42"]
+    # nor can a later match reach across an earlier one
+    rules = resolve_rules("en", protected_patterns=(r"\d+", r"a.+?z"))
+    assert tokenize("a 5 z then a-b z", rules) == ["a", "5", "z", "then", "a-b z"]
+    assert tokenize_per_line("a 5 z then a-b z", rules) == ["a", "5", "z", "then", "a-b z"]
+
+
 def test_more_than_a_thousand_protected_matches_are_all_restored():
     rules = resolve_rules("en", protected_patterns=(r"<[^>]+>",))
     line = " ".join(f"<t{i}>" for i in range(1005))
