@@ -225,9 +225,11 @@ def _split_periods(text: str, rules: TokenizerRules) -> str:
 
 def _restore(tokens: list, multidot_tag: str, protected_tag: str, protected: list) -> list:
     """Tokens with each placeholder replaced by the text it stands for. A
-    protected pattern may have matched part of an earlier pattern's
-    placeholder; what is left of it is restored only if it still ends in a
-    number."""
+    protected placeholder is its tag followed by digits. The tag occurs
+    nowhere in the input and later patterns never see an earlier
+    placeholder (see ``_stashed``), so every token that starts with the tag
+    is one; the digit check only keeps a token that is not one from
+    indexing ``protected``."""
     restored = []
     for token in tokens:
         if token.startswith(multidot_tag):
