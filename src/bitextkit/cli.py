@@ -18,7 +18,7 @@ import click
 from . import __version__
 from .cleaner import MODES, audit_table
 from .corpus_io import atomic_write, batched, corpus_stats, decode_lines, read_lines, read_parallel, read_tsv
-from .exceptions import BitextError
+from .exceptions import BitextError, LineCountMismatch
 from .langid import classify_lines, load_model, save_model, train
 from .metrics import score_report
 from .pipeline import (
@@ -236,6 +236,8 @@ def cognates_cmd(src_path, ref_path, sys_path, threshold, min_len, dump_path, wo
     how many a system output preserves. Inputs must be tokenized."""
     pairs = list(read_parallel(src_path, ref_path, "src", "ref"))
     sys_tokens = [line.split() for line in read_lines(sys_path)] if sys_path else None
+    if sys_tokens is not None and len(sys_tokens) != len(pairs):
+        raise LineCountMismatch(len(sys_tokens), len(pairs), context=f"{sys_path} / {ref_path}")
     found, body = cognate_report(pairs, sys_tokens, threshold, min_len, workers)
     if dump_path:
         with atomic_write(dump_path) as (fh,):

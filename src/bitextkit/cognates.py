@@ -258,16 +258,17 @@ def preservation(
     cognates: Sequence[CognatePair],
     system_output: Sequence[Sequence[str]],
     threshold: float = DEFAULT_THRESHOLD,
-    examined: Optional[int] = None,
+    *,
+    examined: int,
 ) -> CognateReport:
     """How many cognates survive in a system translation.
 
     A cognate is preserved when the system sentence (aligned by
     ``source_sentence_index``) contains a token within ``threshold``
-    normalized distance of the target-side cognate word. ``examined``, when
-    given, sets ``pairs_examined`` (the extraction pool size) so that
-    ``cognate_rate`` reflects the share of candidate words that were
-    cognates; it defaults to the number of cognates themselves.
+    normalized distance of the target-side cognate word. ``examined`` is
+    the extraction pool size (``count_examined``), reported as
+    ``pairs_examined``, so that ``cognate_rate`` is the share of candidate
+    words that were cognates.
     """
     table = _WordTable()
     preserved = 0
@@ -282,11 +283,10 @@ def preservation(
             preserved += 1
 
     total = len(cognates)
-    pool = examined if examined is not None else total
     return CognateReport(
-        pairs_examined=pool,
+        pairs_examined=examined,
         cognate_pairs=total,
-        cognate_rate=(total / pool) if pool else 0.0,
+        cognate_rate=(total / examined) if examined else 0.0,
         preserved=preserved,
         preservation_rate=(preserved / total) if total else 0.0,
         threshold=threshold,

@@ -19,7 +19,7 @@ from typing import Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .corpus_io import SentencePair, atomic_write
+from .corpus_io import atomic_write
 from .exceptions import EmptySeed, InsufficientLanguages, ModelFormatError, VersionMismatch
 
 MAGIC = b"LIDM"
@@ -174,7 +174,7 @@ def train(
     if smoothing_alpha <= 0:
         raise ValueError(f"smoothing_alpha must be positive, got {smoothing_alpha}")
     min_n, max_n = ngram_range
-    if not (1 <= min_n <= max_n):
+    if not (1 <= min_n <= max_n <= 255):  # the model format stores each bound in one byte
         raise ValueError(f"invalid ngram_range {ngram_range}")
 
     languages = tuple(seed_corpora)
@@ -247,20 +247,9 @@ def boundary_evidence(
     return model.trie.evidence(model.log_likelihood, windows, spaces)
 
 
-def scores(model: LangIdModel, text: str) -> np.ndarray:
-    """Unnormalized per-language log scores (prior + likelihood evidence)."""
-    ev, _ = evidence(model, [normalize_text(text)])
-    return model.log_prior + ev[0]
-
-
 def _log_softmax(raw: np.ndarray) -> np.ndarray:
     peak = raw.max()
     return raw - (peak + np.log(np.exp(raw - peak).sum()))
-
-
-def log_posteriors(model: LangIdModel, text: str) -> np.ndarray:
-    """Log of the softmax-normalized per-language posterior."""
-    return _log_softmax(scores(model, text))
 
 
 def classify_lines(model: LangIdModel, texts: Sequence[str]) -> list[Prediction]:
@@ -279,11 +268,6 @@ def classify(model: LangIdModel, text: str) -> Prediction:
     """Most probable language; empty or fully out-of-vocabulary text falls
     back to the priors. Ties break by language order."""
     return classify_lines(model, [text])[0]
-
-
-def classify_pair_concat(model: LangIdModel, pair: SentencePair) -> Prediction:
-    """Classify the space-joined concatenation of both sides of a pair."""
-    return classify(model, pair.source + " " + pair.target)
 
 
 class _Writer:

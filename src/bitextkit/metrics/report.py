@@ -9,7 +9,7 @@ from ..corpus_io import read_lines
 from ..exceptions import EmptyCorpus, LineCountMismatch
 from ..tokenizer import resolve_rules, tokenize_lines
 from .bleu import BleuScore, bleu_corpus
-from .ribes import RibesScore, ribes_corpus
+from .ribes import DEFAULT_ALPHA, DEFAULT_BETA, RibesScore, ribes_corpus
 from .ter import DEFAULT_MAX_SHIFT_SIZE, TerScore, ter_corpus
 
 
@@ -26,8 +26,8 @@ class MetricReport:
 
         BLEU's effective reference length is reported as ``ref_len``; TER's
         average reference length keeps its own ``ter_ref_len`` key to avoid
-        the collision. The scorer conventions (unsmoothed BLEU, the TER
-        shift-span cap) are recorded for auditability.
+        the collision. The scorer conventions (unsmoothed BLEU, the RIBES
+        weights, the TER shift-span cap) are recorded for auditability.
         """
         edits = self.ter.edits
         return {
@@ -41,8 +41,8 @@ class MetricReport:
             "nkt": self.ribes.nkt,
             "unigram_precision": self.ribes.unigram_precision,
             "ribes_bp": self.ribes.bp,
-            "alpha": self.ribes.alpha,
-            "beta": self.ribes.beta,
+            "alpha": DEFAULT_ALPHA,
+            "beta": DEFAULT_BETA,
             "ter": self.ter.ter,
             "edits": edits.to_dict(),
             "ter_ref_len": self.ter.ref_len,

@@ -5,9 +5,11 @@ both sides aligns directly; an ambiguous word is disambiguated by growing a
 one-word context window left and right until the n-gram is unique in both
 sides; anything still ambiguous stays unaligned. The normalized Kendall's
 tau NKT = (tau + 1)/2 over the aligned reference ranks (read in hypothesis
-order) is scaled by unigram precision**alpha and brevity penalty**beta:
-ribes = nkt * P**alpha * BP**beta. NKT lies in [0, 1], not tau's [-1, 1].
-The score against multiple references is the maximum over references.
+order) is scaled by unigram precision and brevity penalty at the fixed
+weights ``DEFAULT_ALPHA`` = 0.25 and ``DEFAULT_BETA`` = 0.10 of Isozaki et
+al. (2010): ribes = nkt * P**alpha * BP**beta. NKT lies in [0, 1], not
+tau's [-1, 1]. The score against multiple references is the maximum over
+references.
 """
 
 from __future__ import annotations
@@ -32,8 +34,6 @@ class RibesScore:
     nkt: float
     unigram_precision: float
     bp: float
-    alpha: float
-    beta: float
 
 
 def word_alignment(ref: Tokens, hyp: Tokens) -> list[int]:
@@ -103,44 +103,36 @@ def normalized_kendall_tau(positions: Sequence[int]) -> float:
     return ascending / (n * (n - 1) / 2)
 
 
-def _single_ref(hyp: Tokens, ref: Tokens, alpha: float, beta: float) -> RibesScore:
+def _single_ref(hyp: Tokens, ref: Tokens) -> RibesScore:
     if len(hyp) == 0:
-        return RibesScore(0.0, 0.0, 0.0, 0.0, alpha, beta)
+        return RibesScore(0.0, 0.0, 0.0, 0.0)
     if len(hyp) >= 2 and tuple(hyp) == tuple(ref) and len(set(hyp)) == len(hyp):
         # a copy of distinct words aligns each word to itself, so NKT,
         # precision and BP are each exactly 1.0, as computed below
-        return RibesScore(1.0, 1.0, 1.0, 1.0, alpha, beta)
+        return RibesScore(1.0, 1.0, 1.0, 1.0)
     bp = min(1.0, math.exp(1.0 - len(ref) / len(hyp)))
     positions = word_alignment(ref, hyp)
     nkt = normalized_kendall_tau(positions)
     precision = len(positions) / len(hyp)
-    return RibesScore(nkt * precision**alpha * bp**beta, nkt, precision, bp, alpha, beta)
+    return RibesScore(nkt * precision**DEFAULT_ALPHA * bp**DEFAULT_BETA, nkt, precision, bp)
 
 
-def ribes(
-    hyp: Tokens,
-    refs: Sequence[Tokens],
-    alpha: float = DEFAULT_ALPHA,
-    beta: float = DEFAULT_BETA,
-) -> RibesScore:
-    """Sentence RIBES against one or more references (maximum over refs)."""
+def ribes(hyp: Tokens, refs: Sequence[Tokens]) -> RibesScore:
+    """Sentence RIBES against one or more references (maximum over refs),
+    weighted by ``DEFAULT_ALPHA`` and ``DEFAULT_BETA``."""
     if not refs:
         raise ValueError("at least one reference is required")
     best = None
     for ref in refs:
-        score = _single_ref(hyp, ref, alpha, beta)
+        score = _single_ref(hyp, ref)
         if best is None or score.ribes > best.ribes:
             best = score
     return best
 
 
-def ribes_corpus(
-    hypotheses: Sequence[Tokens],
-    references: Sequence[Sequence[Tokens]],
-    alpha: float = DEFAULT_ALPHA,
-    beta: float = DEFAULT_BETA,
-) -> RibesScore:
-    """Corpus RIBES: the mean over segments of the per-segment best score.
+def ribes_corpus(hypotheses: Sequence[Tokens], references: Sequence[Sequence[Tokens]]) -> RibesScore:
+    """Corpus RIBES: the mean over segments of the per-segment best score,
+    weighted by ``DEFAULT_ALPHA`` and ``DEFAULT_BETA``.
 
     The nkt / precision / bp fields of the result are the corresponding
     per-segment means, reported for diagnostics.
@@ -149,13 +141,11 @@ def ribes_corpus(
         raise LineCountMismatch(len(hypotheses), len(references), context="hypotheses / references")
     if not hypotheses:
         raise EmptyCorpus("cannot score an empty corpus")
-    scores = [ribes(h, r, alpha, beta) for h, r in zip(hypotheses, references)]
+    scores = [ribes(h, r) for h, r in zip(hypotheses, references)]
     n = len(scores)
     return RibesScore(
         ribes=sum(s.ribes for s in scores) / n,
         nkt=sum(s.nkt for s in scores) / n,
         unigram_precision=sum(s.unigram_precision for s in scores) / n,
         bp=sum(s.bp for s in scores) / n,
-        alpha=alpha,
-        beta=beta,
     )

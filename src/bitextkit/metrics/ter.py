@@ -1,14 +1,15 @@
 """Translation edit rate with the standard greedy block-shift heuristic.
 
 The hypothesis is repeatedly rewritten by moving one contiguous span (at
-most ``max_shift_size`` words) to a position where it matches the
-reference, choosing at each step the shift that most reduces the word-level
-edit distance and stopping when no shift reduces it further. Each shift
-costs one edit; the remaining insertions, deletions, and substitutions come
-from a backtrace over the bit-parallel DP columns of the final hypothesis.
-With several references, the reference yielding the fewest edits is used
-while the denominator is the average reference length, so the rate can
-exceed 1 (or 100 when rendered as a percentage).
+most ``DEFAULT_MAX_SHIFT_SIZE`` words, tercom's fixed cap of 10) to a
+position where it matches the reference, choosing at each step the shift
+that most reduces the word-level edit distance and stopping when no shift
+reduces it further. Each shift costs one edit; the remaining insertions,
+deletions, and substitutions come from a backtrace over the bit-parallel DP
+columns of the final hypothesis. With several references, the reference
+yielding the fewest edits is used while the denominator is the average
+reference length, so the rate can exceed 1 (or 100 when rendered as a
+percentage).
 
 Two exact shortcuts give the same edits as the full search:
 
@@ -112,7 +113,7 @@ def _bag_floor(hyp: Tokens, ref: Tokens) -> int:
     return max(len(hyp), len(ref)) - (Counter(hyp) & Counter(ref)).total()
 
 
-def _best_shift(hyp: tuple, ctx: tuple, columns: list, index: dict, max_shift_size: int, floor: int) -> tuple:
+def _best_shift(hyp: tuple, ctx: tuple, columns: list, index: dict, floor: int) -> tuple:
     """``(distance, candidate)`` of the best rearrangement, or ``(None, None)``.
 
     A candidate agrees with ``hyp`` on its first ``min(start, dest)``
@@ -124,7 +125,7 @@ def _best_shift(hyp: tuple, ctx: tuple, columns: list, index: dict, max_shift_si
     best_hyp = None
     seen = {hyp}
     for start in range(len(hyp)):
-        for size in range(1, min(max_shift_size, len(hyp) - start) + 1):
+        for size in range(1, min(DEFAULT_MAX_SHIFT_SIZE, len(hyp) - start) + 1):
             span = hyp[start : start + size]
             positions = index.get(span)
             if positions is None:
@@ -146,7 +147,7 @@ def _best_shift(hyp: tuple, ctx: tuple, columns: list, index: dict, max_shift_si
     return best_dist, best_hyp
 
 
-def _edits_against(hyp: tuple, ref: Tokens, shifts: bool, max_shift_size: int) -> EditCounts:
+def _edits_against(hyp: tuple, ref: Tokens, shifts: bool) -> EditCounts:
     """The shift search stops at the bag floor, where the full search
     would find no shift that lowers the distance."""
     ctx, start_column = edit_state(ref)
@@ -154,9 +155,9 @@ def _edits_against(hyp: tuple, ref: Tokens, shifts: bool, max_shift_size: int) -
     columns = _prefix_columns(ctx, start_column, current)
     n_shifts = 0
     if shifts and columns[-1][2] > (floor := _bag_floor(hyp, ref)):
-        index = ngram_positions(ref, max_shift_size)
+        index = ngram_positions(ref, DEFAULT_MAX_SHIFT_SIZE)
         while columns[-1][2] > floor:
-            dist, candidate = _best_shift(current, ctx, columns, index, max_shift_size, floor)
+            dist, candidate = _best_shift(current, ctx, columns, index, floor)
             if candidate is None or dist >= columns[-1][2]:
                 break
             current = candidate
@@ -166,12 +167,7 @@ def _edits_against(hyp: tuple, ref: Tokens, shifts: bool, max_shift_size: int) -
     return EditCounts(ins, dels, subs, n_shifts)
 
 
-def ter(
-    hyp: Tokens,
-    refs: Sequence[Tokens],
-    shifts: bool = True,
-    max_shift_size: int = DEFAULT_MAX_SHIFT_SIZE,
-) -> TerScore:
+def ter(hyp: Tokens, refs: Sequence[Tokens], shifts: bool = True) -> TerScore:
     """Sentence TER: fewest edits over the references, divided by the
     average reference length.
 
@@ -184,17 +180,12 @@ def ter(
     if any(tuple(ref) == hyp for ref in refs):
         best = EditCounts(0, 0, 0, 0)  # only a copy has no edits
     else:
-        best = min((_edits_against(hyp, ref, shifts, max_shift_size) for ref in refs), key=attrgetter("total"))
+        best = min((_edits_against(hyp, ref, shifts) for ref in refs), key=attrgetter("total"))
     ref_len = sum(len(r) for r in refs) / len(refs)
     return TerScore(best.total / (ref_len if ref_len > 0 else 1.0), best, ref_len)
 
 
-def ter_corpus(
-    hypotheses: Sequence[Tokens],
-    references: Sequence[Sequence[Tokens]],
-    shifts: bool = True,
-    max_shift_size: int = DEFAULT_MAX_SHIFT_SIZE,
-) -> TerScore:
+def ter_corpus(hypotheses: Sequence[Tokens], references: Sequence[Sequence[Tokens]]) -> TerScore:
     """Corpus TER: summed edits over summed average reference lengths."""
     if len(hypotheses) != len(references):
         raise LineCountMismatch(len(hypotheses), len(references), context="hypotheses / references")
@@ -203,7 +194,7 @@ def ter_corpus(
     ins = dels = subs = n_shifts = 0
     ref_len = 0.0
     for hyp, refs in zip(hypotheses, references):
-        segment = ter(hyp, refs, shifts=shifts, max_shift_size=max_shift_size)
+        segment = ter(hyp, refs)
         ins += segment.edits.insertions
         dels += segment.edits.deletions
         subs += segment.edits.substitutions

@@ -11,7 +11,7 @@ paired with, and to neutral rules when neither is available.
 from __future__ import annotations
 
 import unicodedata
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from importlib import resources
 from typing import Iterable, Iterator, Sequence
 
@@ -117,14 +117,6 @@ def parse_prefix_file(text: str) -> tuple[frozenset, frozenset]:
 
 def _prefix_resource(lang: str):
     return resources.files("bitextkit").joinpath(f"{_PREFIX_PACKAGE_DIR}/nonbreaking_prefix.{lang}")
-
-
-def supported_languages() -> frozenset:
-    """Languages with a bundled nonbreaking-prefix list."""
-    prefix_dir = resources.files("bitextkit").joinpath(_PREFIX_PACKAGE_DIR)
-    return frozenset(
-        entry.name.rsplit(".", 1)[1] for entry in prefix_dir.iterdir() if "nonbreaking_prefix." in entry.name
-    )
 
 
 def _rules_for(lang: str, aggressive_hyphen: bool, protected_patterns: tuple) -> TokenizerRules | None:
@@ -345,12 +337,3 @@ def detokenize(tokens, rules: TokenizerRules) -> str:
         pending = "" if no_space_after else " "
     return text
 
-
-def neutral_rules(lang: str = "neutral") -> TokenizerRules:
-    """Language-neutral rules: no prefixes, isolating apostrophes."""
-    return TokenizerRules(lang)
-
-
-def with_options(rules: TokenizerRules, **changes) -> TokenizerRules:
-    """A copy of ``rules`` with the given fields replaced."""
-    return replace(rules, **changes)

@@ -239,7 +239,7 @@ def test_criterion_09_cognate_preservation(data_dir):
             ]
             for i, toks in enumerate(references)
         ]
-        assert preservation(cognates, stripped).preservation_rate == 0.0
+        assert preservation(cognates, stripped, examined=examined).preservation_rate == 0.0
 
         # corrupt exactly 20% of the cognates, choosing ones whose witness
         # tokens are not shared with any other cognate of the same sentence

@@ -92,6 +92,18 @@ def test_langid_train_reports_invalid_utf8_offset(runner, tmp_path, corpus):
     assert "invalid UTF-8 at byte offset 12" in result.output
 
 
+def test_langid_train_rejects_an_ngram_bound_the_model_cannot_store(runner, tmp_path, corpus):
+    src, tgt = corpus
+    out = tmp_path / "m.lidm"
+    result = runner.invoke(
+        cli, ["langid-train", "--seed", f"es={src}", "--seed", f"ca={tgt}", "--out", str(out), "--ngram-max", "256"]
+    )
+    assert result.exit_code == 1, result.output
+    assert "error: invalid ngram_range (1, 256)" in result.output
+    assert isinstance(result.exception, SystemExit)  # not the model writer's struct.error
+    assert not out.exists()
+
+
 def test_langid_train_and_classify(runner, tmp_path, corpus):
     src, tgt = corpus
     out = tmp_path / "tiny.lidm"
@@ -405,6 +417,31 @@ def test_cognates_dump_to_redirected_stdout_keeps_both_streams(tmp_path, data_di
     # as through a pipe: the dump, then the report, neither over the other
     assert redirected.read_bytes() == dump.read_bytes() + report
     assert json.loads(report)["cognate_pairs"] == dump.read_text(encoding="utf-8").count("\n") - 1
+
+
+@pytest.mark.parametrize(
+    "src_lines, sys_lines",
+    [
+        # the line missing from --sys holds no cognate
+        (["una contribució financera", "la casa", "el sol"], ["una contribución financiera", "la casa"]),
+        (["una contribució financera", "la casa"], ["una contribución financiera", "la casa", "el sol"]),
+    ],
+)
+def test_cognates_system_output_line_count_must_match(runner, tmp_path, src_lines, sys_lines):
+    src = tmp_path / "src.txt"
+    ref = tmp_path / "ref.txt"
+    system = tmp_path / "sys.txt"
+    dump = tmp_path / "pairs.tsv"
+    src.write_text("\n".join(src_lines) + "\n", encoding="utf-8")
+    ref.write_text("\n".join(src_lines) + "\n", encoding="utf-8")
+    system.write_text("\n".join(sys_lines) + "\n", encoding="utf-8")
+    args = ["cognates", "--src", str(src), "--ref", str(ref), "--sys", str(system), "--dump", str(dump)]
+    result = runner.invoke(cli, args)
+    assert result.exit_code == 2, result.output
+    want = f"error: {system} / {ref}: line counts differ: {len(sys_lines)} vs {len(src_lines)}"
+    assert want in result.output
+    assert "cognate_pairs" not in result.output
+    assert not dump.exists()
 
 
 def test_cognates_without_system_output(runner, tmp_path):

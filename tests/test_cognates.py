@@ -189,7 +189,7 @@ class TestPreservation:
         assert 0.0 <= report.cognate_rate <= 1.0
 
     def test_all_cognates_deleted_gives_zero(self, data_dir):
-        _, cognates, references = self._fixture(data_dir)
+        pairs, cognates, references = self._fixture(data_dir)
         stripped = []
         targets = {}
         for c in cognates:
@@ -199,14 +199,14 @@ class TestPreservation:
             stripped.append(
                 [t for t in toks if all(normalized_distance(t.lower(), v.lower()) > 0.3 for v in victims)]
             )
-        report = preservation(cognates, stripped)
+        report = preservation(cognates, stripped, examined=count_examined(pairs))
         assert report.preservation_rate == 0.0
 
     def test_out_of_range_sentence_index(self):
         pairs = [_pair(0, "contribució", "contribución")]
         (cog,) = extract_cognates(pairs)
         with pytest.raises(IndexMismatch):
-            preservation([cog], [])
+            preservation([cog], [], examined=1)
 
     def test_examined_controls_cognate_rate(self):
         pairs = [_pair(0, "contribució curta", "contribución corta")]
@@ -315,7 +315,7 @@ class TestPrunedSearchEqualsOracle:
         assert found == cognates_per_pair(pairs, threshold, min_len)
         examined = count_examined(pairs, min_len)
         for system in ([p.target.split() for p in pairs], _system_for(random.Random(5), pairs)):
-            assert preservation(found, system, threshold, examined) == preservation_per_token(
+            assert preservation(found, system, threshold, examined=examined) == preservation_per_token(
                 found, system, threshold, examined
             )
 
@@ -325,7 +325,10 @@ class TestPrunedSearchEqualsOracle:
         found = extract_cognates(RANDOM_PAIRS, threshold=threshold, min_len=min_len)
         assert found == cognates_per_pair(RANDOM_PAIRS, threshold, min_len)
         system = _system_for(random.Random(threshold), RANDOM_PAIRS)
-        assert preservation(found, system, threshold) == preservation_per_token(found, system, threshold)
+        examined = count_examined(RANDOM_PAIRS, min_len)
+        assert preservation(found, system, threshold, examined=examined) == preservation_per_token(
+            found, system, threshold, examined
+        )
 
     def test_random_pairs_cover_the_edge_cases(self):
         found = cognates_per_pair(RANDOM_PAIRS, 0.5, 1)
@@ -341,10 +344,10 @@ class TestPrunedSearchEqualsOracle:
         assert extract_cognates([_pair(0, "gats", "gata")], threshold=0.24999, min_len=4) == []
         (cog,) = extract_cognates([_pair(0, "gat", "gas")], threshold=1 / 3, min_len=3)
         assert cog.normalized_distance == 1 / 3
-        assert preservation([cog], [["gas"]], threshold=1 / 3).preserved == 1
-        assert preservation([cog], [["ga"]], threshold=1 / 3).preserved == 1  # length bound 1/3
-        assert preservation([cog], [["gxx"]], threshold=1 / 3).preserved == 0
-        assert preservation([cog], [["gat"]], threshold=0.3).preserved == 0
+        assert preservation([cog], [["gas"]], threshold=1 / 3, examined=1).preserved == 1
+        assert preservation([cog], [["ga"]], threshold=1 / 3, examined=1).preserved == 1  # length bound 1/3
+        assert preservation([cog], [["gxx"]], threshold=1 / 3, examined=1).preserved == 0
+        assert preservation([cog], [["gat"]], threshold=0.3, examined=1).preserved == 0
 
 
 class TestWorkersAndChunks:

@@ -5,20 +5,18 @@ import pytest
 
 from bitextkit.corpus_io import SentencePair
 from bitextkit.exceptions import EmptySeed, InsufficientLanguages, ModelFormatError, VersionMismatch
-from bitextkit.langid import (
-    classify,
-    classify_pair_concat,
-    load_model,
-    log_posteriors,
-    save_model,
-    scores,
-    train,
-)
+from bitextkit.langid import classify, evidence, load_model, normalize_text, save_model, train
 
 TOY_SEEDS = {
     "aa": ["xxxx yyy xy xyx", "xy yx xxy yxx", "xyxyxy xxx yy"],
     "bb": ["zzzz www zw zwz", "zw wz zzw wzz", "zwzwzw zzz ww"],
 }
+
+
+def log_posteriors(model, text):
+    """Log of the softmax-normalized per-language posterior of ``text``."""
+    raw = model.log_prior + evidence(model, [normalize_text(text)])[0][0]
+    return raw - (raw.max() + np.log(np.exp(raw - raw.max()).sum()))
 
 
 @pytest.fixture(scope="module")
@@ -35,6 +33,14 @@ class TestTrain:
         with pytest.raises(EmptySeed) as err:
             train({"aa": ["x"], "bb": ["", "   "]})
         assert err.value.lang == "bb"
+
+    def test_ngram_bound_must_fit_the_model_format(self, tmp_path):
+        with pytest.raises(ValueError, match="invalid ngram_range"):
+            train(TOY_SEEDS, ngram_range=(1, 256))
+        with pytest.raises(ValueError, match="invalid ngram_range"):
+            train(TOY_SEEDS, ngram_range=(256, 256))
+        save_model(train(TOY_SEEDS, ngram_range=(1, 255), vocab_size=50), tmp_path / "m.lidm")
+        assert load_model(tmp_path / "m.lidm").ngram_range == (1, 255)
 
     def test_vocab_size_one(self):
         model = train(TOY_SEEDS, ngram_range=(1, 2), vocab_size=1)
@@ -109,11 +115,11 @@ class TestClassify:
 
     def test_concat_matches_joined_text(self, toy_model):
         pair = SentencePair(0, "xxy yx", "zzw wz", "aa", "bb")
-        assert classify_pair_concat(toy_model, pair) == classify(toy_model, "xxy yx zzw wz")
+        assert classify(toy_model, pair.source + " " + pair.target) == classify(toy_model, "xxy yx zzw wz")
 
     def test_concat_with_empty_source(self, toy_model):
         pair = SentencePair(0, "", "zzw wz", "aa", "bb")
-        assert classify_pair_concat(toy_model, pair).lang == classify(toy_model, "zzw wz").lang
+        assert classify(toy_model, pair.source + " " + pair.target).lang == classify(toy_model, "zzw wz").lang
 
 
 class TestSerialization:
@@ -183,7 +189,10 @@ class TestFixtureModel:
         assert classify(fixture_model, es_line).lang == "es"
         assert classify(fixture_model, pt_line).lang == "pt"
         pair = SentencePair(0, es_line, pt_line, "es", "pt")
-        assert classify_pair_concat(fixture_model, pair).lang == "pt"
+        assert classify(fixture_model, pair.source + " " + pair.target).lang == "pt"
 
     def test_scores_shape(self, fixture_model):
-        assert scores(fixture_model, "hola amigo").shape == (4,)
+        ev, has = evidence(fixture_model, [normalize_text("hola amigo")])
+        assert ev.shape == (1, 4)
+        assert (fixture_model.log_prior + ev[0]).shape == (4,)
+        assert has.tolist() == [True]

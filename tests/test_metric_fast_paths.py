@@ -109,19 +109,19 @@ def fired(monkeypatch):
         advances[0] += 1
         return advance(*args)
 
-    def checked_best_shift(hyp, ctx, columns, index, max_shift_size, floor):
+    def checked_best_shift(hyp, ctx, columns, index, floor):
         before = advances[0]
-        found = best_shift(hyp, ctx, columns, index, max_shift_size, floor)
+        found = best_shift(hyp, ctx, columns, index, floor)
         with_floor = advances[0] - before
         before = advances[0]
         # no candidate is at -1, so this scans every candidate
-        assert best_shift(hyp, ctx, columns, index, max_shift_size, -1) == found
+        assert best_shift(hyp, ctx, columns, index, -1) == found
         fired["early return"] += with_floor < advances[0] - before
         return found
 
-    def checked_edits_against(hyp, ref, shifts, max_shift_size):
+    def checked_edits_against(hyp, ref, shifts):
         fired["searches"] += 1
-        counts = edits_against(hyp, ref, shifts, max_shift_size)
+        counts = edits_against(hyp, ref, shifts)
         distance = counts.insertions + counts.deletions + counts.substitutions
         floor = ter_module._bag_floor(hyp, ref)
         assert floor <= distance

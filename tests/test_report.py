@@ -112,6 +112,8 @@ def test_json_field_names(hyp_ref_files):
     # scorer conventions are recorded for auditability
     assert payload["bleu_smoothing"] == "none"
     assert payload["ter_max_shift_size"] == 10
+    assert payload["alpha"] == 0.25
+    assert payload["beta"] == 0.1
     json.dumps(payload)  # must be serializable as-is
 
 

@@ -1,10 +1,11 @@
+import math
 import random
 import time
 
 import pytest
 
 from bitextkit.metrics import ribes, ribes_corpus
-from bitextkit.metrics.ribes import normalized_kendall_tau, word_alignment
+from bitextkit.metrics.ribes import DEFAULT_ALPHA, DEFAULT_BETA, normalized_kendall_tau, word_alignment
 
 from oracles import ascending_fraction, distinct_word_alignment, ribes_alignment_rescan
 from synth import seed_lines
@@ -67,9 +68,12 @@ def test_multi_reference_takes_max():
 def test_alpha_beta_exponents():
     hyp = "a b x".split()
     ref = "a b".split()
-    score = ribes(hyp, [ref], alpha=0.5, beta=0.2)
+    score = ribes(hyp, [ref])
     # two aligned words in order: nkt 1; precision 2/3; bp 1 (hyp longer)
-    assert score.ribes == pytest.approx(1.0 * (2 / 3) ** 0.5 * 1.0**0.2, abs=1e-12)
+    assert score.ribes == pytest.approx(1.0 * (2 / 3) ** DEFAULT_ALPHA * 1.0**DEFAULT_BETA, abs=1e-12)
+    # a shorter hypothesis: nkt 1; precision 1; bp exp(1 - 3/2)
+    short = ribes("a b".split(), ["a b c".split()])
+    assert short.ribes == pytest.approx(1.0 * 1.0**DEFAULT_ALPHA * math.exp(-0.5) ** DEFAULT_BETA, abs=1e-12)
 
 
 def test_alignment_direction_keeps_precision_bounded():

@@ -1,3 +1,4 @@
+import importlib
 import random
 import time
 
@@ -8,6 +9,8 @@ from bitextkit.metrics import ter, ter_corpus
 
 from oracles import edit_distance_matrix, ter_edits_greedy
 from synth import seed_lines
+
+ter_module = importlib.import_module("bitextkit.metrics.ter")
 
 
 def test_identity_zero_edits():
@@ -58,11 +61,13 @@ def test_empty_reference_conventions():
     assert ter("a b".split(), [[]]).ter == 2.0  # denominator clamped to 1
 
 
-def test_max_shift_size_respected():
+def test_max_shift_size_respected(monkeypatch):
     hyp = "x1 x2 x3 a b".split()
     ref = "a b x1 x2 x3".split()
-    with_big = ter(hyp, [ref], max_shift_size=3)
-    with_small = ter(hyp, [ref], max_shift_size=1)
+    monkeypatch.setattr(ter_module, "DEFAULT_MAX_SHIFT_SIZE", 3)
+    with_big = ter(hyp, [ref])
+    monkeypatch.setattr(ter_module, "DEFAULT_MAX_SHIFT_SIZE", 1)
+    with_small = ter(hyp, [ref])
     assert with_big.edits.total <= with_small.edits.total
 
 
@@ -107,12 +112,12 @@ def test_corpus_aggregates_edits_over_lengths():
     assert corpus.ter == pytest.approx(1 / 5)
 
 
-def _edits(hyp, ref, max_shift_size):
-    e = ter(hyp, [ref], max_shift_size=max_shift_size).edits
+def _edits(hyp, ref):
+    e = ter(hyp, [ref]).edits
     return e.insertions, e.deletions, e.substitutions, e.shifts
 
 
-def test_shift_search_equals_full_dp_oracle_random():
+def test_shift_search_equals_full_dp_oracle_random(monkeypatch):
     """Small alphabets make repeats and equal-distance candidates dense, so
     the iteration order, the dedup and the strict tie rule all matter."""
     rng = random.Random(34)
@@ -121,7 +126,8 @@ def test_shift_search_equals_full_dp_oracle_random():
         hyp = [rng.choice(vocab) for _ in range(rng.randint(0, 12))]
         ref = [rng.choice(vocab) for _ in range(rng.randint(0, 12))]
         max_shift_size = rng.choice([1, 2, 3, 10])
-        assert _edits(hyp, ref, max_shift_size) == ter_edits_greedy(hyp, ref, max_shift_size), (hyp, ref)
+        monkeypatch.setattr(ter_module, "DEFAULT_MAX_SHIFT_SIZE", max_shift_size)
+        assert _edits(hyp, ref) == ter_edits_greedy(hyp, ref, max_shift_size), (hyp, ref)
 
 
 def _moved_blocks(words, rng, blocks):
@@ -144,7 +150,7 @@ def test_shift_search_equals_full_dp_oracle_on_moved_blocks():
         hyp = _moved_blocks(ref, rng, rng.randint(1, 3))
         if k % 4 == 0:
             hyp[rng.randrange(len(hyp))] = "<sub>"
-        assert _edits(hyp, ref, 10) == ter_edits_greedy(hyp, ref, 10), (hyp, ref)
+        assert _edits(hyp, ref) == ter_edits_greedy(hyp, ref, 10), (hyp, ref)
 
 
 def test_long_segment_finishes():

@@ -1,6 +1,7 @@
 import random
 import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 import regex
@@ -13,15 +14,18 @@ from bitextkit import tokenizer
 from bitextkit.tokenizer import (
     TokenizerRules,
     detokenize,
-    neutral_rules,
     parse_prefix_file,
     resolve_rules,
-    supported_languages,
     tokenize,
     tokenize_lines,
     tokenize_stream,
-    with_options,
 )
+
+
+def prefix_languages():
+    """Languages with a bundled nonbreaking-prefix list."""
+    prefix_dir = Path(tokenizer.__file__).parent / "data" / "nonbreaking_prefixes"
+    return {path.suffix[1:] for path in prefix_dir.glob("nonbreaking_prefix.*")}
 
 
 def load_cases(data_dir, lang):
@@ -47,7 +51,7 @@ class TestResolveRules:
         assert rules.apostrophe_class == "isolate"
 
     def test_supported_set(self):
-        assert supported_languages() >= {"en", "es", "ca", "pt", "fr"}
+        assert prefix_languages() >= {"en", "es", "ca", "pt", "fr"}
 
     def test_apostrophe_classes(self):
         assert resolve_rules("fr").apostrophe_class == "left"
@@ -96,13 +100,13 @@ def test_detokenize_examples():
 
 
 def test_aggressive_hyphen_mode():
-    rules = with_options(resolve_rules("en"), aggressive_hyphen=True)
+    rules = resolve_rules("en", aggressive_hyphen=True)
     assert tokenize("cost-effective plan", rules) == ["cost", "@-@", "effective", "plan"]
     assert detokenize(["cost", "@-@", "effective", "plan"], rules) == "cost-effective plan"
 
 
 def test_protected_patterns_survive():
-    rules = with_options(resolve_rules("en"), protected_patterns=(r"<[^>]+>",))
+    rules = resolve_rules("en", protected_patterns=(r"<[^>]+>",))
     assert tokenize("see <a href='x'> now!", rules) == ["see", "<a href='x'>", "now", "!"]
 
 
@@ -163,7 +167,7 @@ def test_acronym_period_kept():
 
 
 SEED_TEXT = [line for lang in ("es", "ca", "pt", "fr") for line in seed_lines(lang)]
-RULE_LANGS = sorted(supported_languages()) + ["xx"]
+RULE_LANGS = sorted(prefix_languages()) + ["xx"]
 
 _FRAGMENTS = (
     "\x00", "\n", "\r", "\t", "\x0b", "\x0c", "\x1f", "\x7f", "\x85", "\u2028", "\u2029", "\u00a0", "\u3000",
