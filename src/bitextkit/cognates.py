@@ -111,12 +111,32 @@ class CognatePair:
 
 @dataclass(frozen=True)
 class CognateReport:
+    """``preserved`` and ``preservation_rate`` are None when no system
+    output was measured."""
+
     pairs_examined: int
     cognate_pairs: int
     cognate_rate: float
-    preserved: int
-    preservation_rate: float
+    preserved: Optional[int]
+    preservation_rate: Optional[float]
     threshold: float
+
+    @classmethod
+    def of(cls, examined: int, cognate_pairs: int, threshold: float, preserved: Optional[int] = None) -> CognateReport:
+        """The report with both rates computed: ``cognate_rate`` is the share
+        of the ``examined`` candidate words that were cognates, and
+        ``preservation_rate`` the share of cognates ``preserved``."""
+        preservation_rate = None
+        if preserved is not None:
+            preservation_rate = (preserved / cognate_pairs) if cognate_pairs else 0.0
+        return cls(
+            pairs_examined=examined,
+            cognate_pairs=cognate_pairs,
+            cognate_rate=(cognate_pairs / examined) if examined else 0.0,
+            preserved=preserved,
+            preservation_rate=preservation_rate,
+            threshold=threshold,
+        )
 
     def to_dict(self) -> dict:
         return {
@@ -282,12 +302,4 @@ def preservation(
         if any(_within(target, table[tok], threshold) is not None for tok in system_output[idx]):
             preserved += 1
 
-    total = len(cognates)
-    return CognateReport(
-        pairs_examined=examined,
-        cognate_pairs=total,
-        cognate_rate=(total / examined) if examined else 0.0,
-        preserved=preserved,
-        preservation_rate=(preserved / total) if total else 0.0,
-        threshold=threshold,
-    )
+    return CognateReport.of(examined, len(cognates), threshold, preserved)

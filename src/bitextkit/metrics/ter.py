@@ -11,6 +11,20 @@ yielding the fewest edits is used while the denominator is the average
 reference length, so the rate can exceed 1 (or 100 when rendered as a
 percentage).
 
+A round tries the candidates in tercom's order and keeps the first of the
+lowest distance (a strict ``<``). Skipping candidates already seen in the
+round (a dedup set) is only an optimization, and the search does without
+it: a repeat scores the same as its first occurrence, which the strict
+``<`` keeps, and a candidate equal to the hypothesis scores the current
+distance, which ends the search anyway.
+
+A candidate differs from the hypothesis only inside a window ``[lo, hi)``,
+so its distance resumes from the DP column of the prefix of length ``lo``.
+After a few candidates scored one by one, a round scores up to 64 at a
+time in one bit-parallel pass (``_packed_distances``): each candidate has
+a lane of ``m + 1`` bits in one integer (``m`` the reference length), so
+one set of integer operations per word advances all of them.
+
 Two exact shortcuts give the same edits as the full search:
 
 - A hypothesis equal to a reference has 0 edits, and no other hypothesis
@@ -26,6 +40,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain, islice, repeat
 from operator import attrgetter
 from typing import Sequence
 
@@ -34,6 +49,12 @@ from ..exceptions import EmptyCorpus, LineCountMismatch
 from .ngrams import ngram_positions
 
 DEFAULT_MAX_SHIFT_SIZE = 10
+
+# A shift round scores its first _SCALAR_LEAD candidates one at a time, so
+# that an early candidate at the floor ends it before a batch is built, and
+# then packs up to _LANES candidates into one bit-parallel pass.
+_SCALAR_LEAD = 4
+_LANES = 64
 
 Tokens = Sequence[str]
 
@@ -113,43 +134,135 @@ def _bag_floor(hyp: Tokens, ref: Tokens) -> int:
     return max(len(hyp), len(ref)) - (Counter(hyp) & Counter(ref)).total()
 
 
-def _best_shift(hyp: tuple, ctx: tuple, columns: list, index: dict, floor: int) -> tuple:
-    """``(distance, candidate)`` of the best rearrangement, or ``(None, None)``.
+def _candidates(hyp: tuple, index: dict):
+    """Every shift of a span of ``hyp`` to a place where the span occurs in
+    the reference, as ``(lo, hi, middle)``: the candidate is
+    ``hyp[:lo] + middle + hyp[hi:]``.
 
-    A candidate agrees with ``hyp`` on its first ``min(start, dest)``
-    words, so its distance resumes from the prefix column of that length.
-    The first candidate at ``floor`` is returned at once: no later one can
-    be lower, and a tie keeps the earlier.
+    The order is tercom's: by span start, then span size, then reference
+    position. A move of a span to its own place is left out; repeats are
+    not, as they cannot change the result (see the module docstring).
     """
-    best_dist = None
-    best_hyp = None
-    seen = {hyp}
-    for start in range(len(hyp)):
-        for size in range(1, min(DEFAULT_MAX_SHIFT_SIZE, len(hyp) - start) + 1):
-            span = hyp[start : start + size]
+    n = len(hyp)
+    for start in range(n):
+        for size in range(1, min(DEFAULT_MAX_SHIFT_SIZE, n - start) + 1):
+            end = start + size
+            span = hyp[start:end]
             positions = index.get(span)
             if positions is None:
                 break  # no longer span from here is in the reference either
-            remainder = hyp[:start] + hyp[start + size :]
             for k in positions:
-                dest = min(k, len(remainder))
-                candidate = remainder[:dest] + span + remainder[dest:]
-                if candidate in seen:
-                    continue
-                seen.add(candidate)
-                prefix = min(start, dest)
-                dist = advance(ctx, columns[prefix], candidate[prefix:])[2]
-                if best_dist is None or dist < best_dist:
-                    best_dist = dist
-                    best_hyp = candidate
-                    if dist == floor:
-                        return best_dist, best_hyp
-    return best_dist, best_hyp
+                dest = min(k, n - size)
+                if dest < start:
+                    yield dest, end, span + hyp[dest:start]
+                elif dest > start:
+                    yield start, dest + size, hyp[end : dest + size] + span
+
+
+def _packed_distances(hyp: tuple, ctx: tuple, columns: list, batch: list) -> list:
+    """The distance of each ``(lo, hi, middle)`` candidate in ``batch``, all
+    of them advanced together by one bit-parallel pass.
+
+    This is ``advance``'s recurrence with candidate k in a lane of
+    ``m + 1`` bits of one integer, bits ``[k(m+1), k(m+1) + m)``, so one
+    set of integer operations per word steps every lane. The top bit of a
+    lane is a guard that stays 0 in ``vp``, ``vn`` and ``eq``, so the carry
+    of the addition ends in it. The shifts carry a lane's top bit into the
+    guard, which the mask of ``vp`` clears, or the guard into the next
+    lane's bit 0, which the global form sets to 1 in every lane anyway.
+    Complements are XORs with every bit of the batch (``full``), so no
+    integer is negative: CPython's bitwise operations on negative integers
+    take extra passes.
+
+    A lane is 0 until step ``lo``, where it takes the prefix column
+    ``columns[lo]``: with ``eq`` 0 there, a zero lane stays zero. At step t
+    a lane inside ``[lo, hi)`` reads the match mask of its own word, and
+    the lanes past ``hi`` read that of ``hyp[t]``, copied into every lane by
+    one multiply per distinct word. A lane's distance is ``n`` plus its
+    up-steps less its down-steps, as in ``_edit_breakdown``.
+    """
+    masks, top, _ = ctx
+    n = len(hyp)
+    width = top.bit_length() + 1
+    full = (1 << (len(batch) * width)) - 1
+    ones = full // ((1 << width) - 1)  # bit 0 of each lane
+    lane_top = top * ones
+    enter_vp = [0] * n
+    enter_vn = [0] * n
+    own_eq = [0] * n
+    past = [0] * (n + 1)
+    shift = 0
+    for lo, hi, middle in batch:
+        vp, vn, _ = columns[lo]
+        enter_vp[lo] |= vp << shift
+        enter_vn[lo] |= vn << shift
+        past[hi] |= top << shift
+        t = lo
+        for word in middle:
+            eq = masks.get(word)
+            if eq:
+                own_eq[t] |= eq << shift
+            t += 1
+        shift += width
+    spread: dict = {}
+    vp = vn = past_top = 0
+    for t in range(min(lo for lo, _, _ in batch), n):
+        vp |= enter_vp[t]
+        vn |= enter_vn[t]
+        past_top |= past[t]
+        eq = own_eq[t]
+        if past_top:
+            word = hyp[t]
+            copies = spread.get(word)
+            if copies is None:
+                copies = spread[word] = masks.get(word, 0) * ones
+            eq |= copies & past_top
+        xv = eq | vn
+        xh = (((eq & vp) + vp) ^ vp) | eq
+        ph = vn | ((xh | vp) ^ full)
+        mh = vp & xh
+        ph = (ph << 1) | ones
+        vp = ((mh << 1) | ((xv | ph) ^ full)) & lane_top
+        vn = ph & xv
+    return [n + ((vp >> s) & top).bit_count() - ((vn >> s) & top).bit_count() for s in range(0, shift, width)]
+
+
+def _best_shift(hyp: tuple, ctx: tuple, columns: list, index: dict, floor: int):
+    """``(distance, lo, candidate)`` of the best rearrangement, or None.
+
+    The first ``_SCALAR_LEAD`` candidates are scored one by one with
+    ``advance``, the rest ``_LANES`` at a time by ``_packed_distances`` (a
+    last batch under ``_SCALAR_LEAD`` one by one again). The first
+    candidate at ``floor`` is returned at once: no later one can be lower,
+    and a tie keeps the earlier.
+    """
+    candidates = _candidates(hyp, index)
+    best_dist = best = None
+    for size in chain(repeat(1, _SCALAR_LEAD), repeat(_LANES)):
+        if best_dist == floor:
+            break
+        batch = list(islice(candidates, size))
+        if not batch:
+            break
+        if len(batch) < _SCALAR_LEAD:
+            dists = [advance(ctx, columns[lo], middle + hyp[hi:])[2] for lo, hi, middle in batch]
+        else:
+            dists = _packed_distances(hyp, ctx, columns, batch)
+        for dist, candidate in zip(dists, batch):
+            if best_dist is None or dist < best_dist:
+                best_dist, best = dist, candidate
+                if dist == floor:
+                    break
+    if best is None:
+        return None
+    lo, hi, middle = best
+    return best_dist, lo, hyp[:lo] + middle + hyp[hi:]
 
 
 def _edits_against(hyp: tuple, ref: Tokens, shifts: bool) -> EditCounts:
     """The shift search stops at the bag floor, where the full search
-    would find no shift that lowers the distance."""
+    would find no shift that lowers the distance. After a shift only the
+    columns from its ``lo`` on are recomputed."""
     ctx, start_column = edit_state(ref)
     current = hyp
     columns = _prefix_columns(ctx, start_column, current)
@@ -157,11 +270,11 @@ def _edits_against(hyp: tuple, ref: Tokens, shifts: bool) -> EditCounts:
     if shifts and columns[-1][2] > (floor := _bag_floor(hyp, ref)):
         index = ngram_positions(ref, DEFAULT_MAX_SHIFT_SIZE)
         while columns[-1][2] > floor:
-            dist, candidate = _best_shift(current, ctx, columns, index, floor)
-            if candidate is None or dist >= columns[-1][2]:
+            found = _best_shift(current, ctx, columns, index, floor)
+            if found is None or found[0] >= columns[-1][2]:
                 break
-            current = candidate
-            columns = _prefix_columns(ctx, start_column, current)
+            _, lo, current = found
+            columns[lo:] = _prefix_columns(ctx, columns[lo], current[lo:])
             n_shifts += 1
     ins, dels, subs = _edit_breakdown(current, ref, columns)
     return EditCounts(ins, dels, subs, n_shifts)

@@ -25,7 +25,7 @@ from typing import Optional
 
 from . import __version__
 from .cleaner import MODES, clean
-from .cognates import count_examined, extract_cognates, preservation
+from .cognates import CognateReport, count_examined, extract_cognates, preservation
 from .corpus_io import SentencePair, atomic_write, corpus_stats, read_lines, read_parallel, write_parallel
 from .exceptions import BitextError, LineCountMismatch
 from .langid import load_model
@@ -295,15 +295,10 @@ def cognate_report(
     found = extract_cognates(pairs, threshold=threshold, min_len=min_len, workers=workers)
     examined = count_examined(pairs, min_len)
     if system_tokens is None:
-        return found, {
-            "pairs_examined": examined,
-            "cognate_pairs": len(found),
-            "cognate_rate": (len(found) / examined) if examined else 0.0,
-            "preserved": None,
-            "preservation_rate": None,
-            "threshold": threshold,
-        }
-    return found, preservation(found, system_tokens, threshold=threshold, examined=examined).to_dict()
+        report = CognateReport.of(examined, len(found), threshold)
+    else:
+        report = preservation(found, system_tokens, threshold=threshold, examined=examined)
+    return found, report.to_dict()
 
 
 def _run_prep(config: PipelineConfig, out: Path, manifest: _Manifest) -> None:

@@ -1,11 +1,13 @@
 import importlib
 import random
 import time
+from collections import Counter
 
 import pytest
 
-from bitextkit.cognates import levenshtein
+from bitextkit.cognates import advance, edit_state, levenshtein
 from bitextkit.metrics import ter, ter_corpus
+from bitextkit.metrics.ngrams import ngram_positions
 
 from oracles import edit_distance_matrix, ter_edits_greedy
 from synth import seed_lines
@@ -119,7 +121,10 @@ def _edits(hyp, ref):
 
 def test_shift_search_equals_full_dp_oracle_random(monkeypatch):
     """Small alphabets make repeats and equal-distance candidates dense, so
-    the iteration order, the dedup and the strict tie rule all matter."""
+    the iteration order and the strict tie rule both matter. The oracle
+    still skips candidates seen before in a round and the search does not:
+    dedup was an optimization, since a repeat scores the same as its first
+    occurrence and the strict tie rule keeps the first."""
     rng = random.Random(34)
     for _ in range(2400):
         vocab = "abcde"[: rng.randint(1, 5)]
@@ -195,3 +200,69 @@ def test_no_shift_long_segment_finishes():
     score = ter(hyp, [ref], shifts=False)
     assert time.perf_counter() - started < 0.5
     assert score.edits.total == levenshtein(hyp, ref)
+
+
+def test_packed_distances_equal_scalar_advance():
+    """Candidates scored in one packed pass get the distance the scalar
+    kernel gives from their prefix column. References of 1-300 words, so
+    lanes cross 30-bit digits and 64-bit words; vocabularies of 2, 5 and
+    40 words repeat words; batches of 1-64 lanes mix lanes that start at
+    different ``lo``, and some spans reach the end of the hypothesis."""
+    rng = random.Random(38)
+    seen = Counter()
+    for _ in range(48):
+        vocab = [f"w{k}" for k in range(rng.choice([2, 5, 40]))]
+        ref = [rng.choice(vocab) for _ in range(rng.choice([rng.randint(1, 30), rng.randint(1, 300)]))]
+        hyp = tuple(w if rng.random() < 0.7 else rng.choice(vocab + ["oov"]) for w in ref if rng.random() < 0.9)
+        hyp += tuple(rng.choice(vocab) for _ in range(rng.randint(1, 5)))
+        n = len(hyp)
+        ctx, start_column = edit_state(ref)
+        columns = ter_module._prefix_columns(ctx, start_column, hyp)
+        shifts = list(ter_module._candidates(hyp, ngram_positions(ref, 10)))
+        for _ in range(2):
+            lanes = rng.randint(1, 64)
+            if shifts and rng.random() < 0.6:
+                first = rng.randrange(len(shifts))
+                batch = shifts[first : first + lanes]
+            else:  # any window rewritten, many ending at the end of hyp
+                batch = []
+                for _ in range(lanes):
+                    lo = rng.randrange(n)
+                    hi = n if rng.random() < 0.3 else rng.randint(lo + 1, n)
+                    batch.append((lo, hi, tuple(rng.choice(vocab + ["oov"]) for _ in range(hi - lo))))
+            want = [advance(ctx, columns[lo], middle + hyp[hi:])[2] for lo, hi, middle in batch]
+            assert ter_module._packed_distances(hyp, ctx, columns, batch) == want, (hyp, ref, batch)
+            lo, hi, middle = batch[0]
+            assert want[0] == levenshtein(hyp[:lo] + middle + hyp[hi:], ref)
+            seen["lanes"] += len(batch)
+            seen["past the end"] += sum(hi == n for _, hi, _ in batch)
+            seen["mixed starts"] += len({lo for lo, _, _ in batch}) > 1
+            seen["over 64 bits"] += len(batch) * (len(ref) + 1) > 64
+            seen["long reference"] += len(ref) > 64
+    assert seen["lanes"] >= 1000
+    assert min(seen.values()) >= 20, seen
+
+
+def _long_case(name):
+    """200 words of seed text with n/25 + 1 moved blocks, or a 240-word
+    "de la" repetition loop against seed text, as ``(hyp, ref)``."""
+    text = " ".join(seed_lines("es")).split()
+    if name == "moved blocks":
+        ref = text[:200]
+        return _moved_blocks(ref, random.Random(39), len(ref) // 25 + 1), ref
+    return ["de", "la"] * 120, text[:240]
+
+
+@pytest.mark.parametrize(
+    "name, pinned",
+    [("moved blocks", ter_module.EditCounts(0, 0, 2, 10)), ("repetition loop", ter_module.EditCounts(0, 0, 213, 7))],
+    ids=["moved blocks", "repetition loop"],
+)
+def test_long_segment_stress(name, pinned):
+    """Pinned edits on long segments, found within a loose time bound: the
+    search takes about 0.6 s and 1.2-1.8 s on a 2 vCPU Xeon."""
+    hyp, ref = _long_case(name)
+    started = time.perf_counter()
+    edits = ter(hyp, [ref]).edits
+    assert time.perf_counter() - started < 6.0
+    assert edits == pinned
