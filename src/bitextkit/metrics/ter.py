@@ -42,7 +42,7 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, islice, repeat
 from operator import attrgetter
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from ..cognates import advance, edit_state
 from ..exceptions import EmptyCorpus, LineCountMismatch
@@ -134,7 +134,7 @@ def _bag_floor(hyp: Tokens, ref: Tokens) -> int:
     return max(len(hyp), len(ref)) - (Counter(hyp) & Counter(ref)).total()
 
 
-def _candidates(hyp: tuple, index: dict):
+def _candidates(hyp: tuple, index: dict) -> Iterator[tuple]:
     """Every shift of a span of ``hyp`` to a place where the span occurs in
     the reference, as ``(lo, hi, middle)``: the candidate is
     ``hyp[:lo] + middle + hyp[hi:]``.
@@ -227,7 +227,7 @@ def _packed_distances(hyp: tuple, ctx: tuple, columns: list, batch: list) -> lis
     return [n + ((vp >> s) & top).bit_count() - ((vn >> s) & top).bit_count() for s in range(0, shift, width)]
 
 
-def _best_shift(hyp: tuple, ctx: tuple, columns: list, index: dict, floor: int):
+def _best_shift(hyp: tuple, ctx: tuple, columns: list, index: dict, floor: int) -> tuple | None:
     """``(distance, lo, candidate)`` of the best rearrangement, or None.
 
     The first ``_SCALAR_LEAD`` candidates are scored one by one with
