@@ -15,8 +15,6 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Optional, Sequence
 
-import numpy as np
-
 from .corpus_io import SentencePair
 from .exceptions import IndexMismatch, UnknownLanguage
 from .langid import LangIdModel, boundary_evidence, evidence, normalize_text
@@ -108,12 +106,12 @@ def _decide_chunk(pairs: Sequence[SentencePair], model: LangIdModel, mode: str) 
     side, _ = evidence(model, src_norm + tgt_norm)
     ev_src, ev_tgt = side[: len(live)], side[len(live) :]
     prior = model.log_prior
-    best_src = np.argmax(prior + ev_src, axis=1).tolist()
-    best_tgt = np.argmax(prior + ev_tgt, axis=1).tolist()
+    best_src = (prior + ev_src).argmax(axis=1).tolist()
+    best_tgt = (prior + ev_tgt).argmax(axis=1).tolist()
     best_concat = None
     if mode in ("concat", "both"):
         ev_boundary, _ = boundary_evidence(model, src_norm, tgt_norm)
-        best_concat = np.argmax(prior + ev_src + ev_tgt + ev_boundary, axis=1).tolist()
+        best_concat = (prior + ev_src + ev_tgt + ev_boundary).argmax(axis=1).tolist()
 
     languages = model.languages
     for row, i in enumerate(live):

@@ -7,6 +7,11 @@ of the training seeds, with add-alpha smoothing and line-count priors.
 Classification is deterministic: ties break by the model's language order.
 Evidence is computed for many texts at once, by walking a trie of the
 vocabulary (:class:`GramTrie`) one n-gram length at a time.
+
+numpy is imported inside the functions that build arrays (the trie, the
+evidence walk, training, and the model's save and load), not at module
+level: the eval commands import this module through the CLI but never
+touch a model, and numpy's import was over half of their start-up.
 """
 
 from __future__ import annotations
@@ -15,12 +20,13 @@ import struct
 import unicodedata
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, Mapping, Optional, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterator, Mapping, Optional, Sequence
 
 from .corpus_io import atomic_write
 from .exceptions import EmptySeed, InsufficientLanguages, ModelFormatError, VersionMismatch
+
+if TYPE_CHECKING:
+    import numpy as np
 
 MAGIC = b"LIDM"
 FORMAT_VERSION = 1
@@ -63,6 +69,8 @@ class GramTrie:
     """
 
     def __init__(self, vocabulary: Mapping[str, int], ngram_range: tuple[int, int]):
+        import numpy as np
+
         self.min_n, self.max_n = ngram_range
         self.n_features = len(vocabulary)
         grams = [gram for gram in vocabulary if self.min_n <= len(gram) <= self.max_n]
@@ -93,6 +101,8 @@ class GramTrie:
     def _symbols(self, texts: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
         """The texts' symbols laid end to end, each text followed by a 0,
         and the span of each text with its 0."""
+        import numpy as np
+
         spans = np.fromiter(map(len, texts), dtype=np.intp, count=len(texts)) + 1
         codes = np.frombuffer(("\0".join(texts) + "\0").encode("utf-32-le", "surrogatepass"), dtype="<u4")
         at = np.searchsorted(self.codes, codes)
@@ -108,6 +118,8 @@ class GramTrie:
         ``(n_texts, n_languages)``, and the mask of texts with any. With
         ``spaces``, only grams covering character ``spaces[i]`` of text i
         count."""
+        import numpy as np
+
         syms, spans = self._symbols(texts)
         text_at = np.repeat(np.arange(len(texts)), spans)
         pos = np.arange(len(syms), dtype=np.int32)
@@ -204,6 +216,8 @@ def train(
     if not vocabulary:
         raise ValueError(f"seeds produced no n-grams for ngram_range {ngram_range}")
 
+    import numpy as np
+
     n_langs = len(languages)
     n_feats = len(vocabulary)
     counts_matrix = np.zeros((n_langs, n_feats), dtype=np.float64)
@@ -240,6 +254,8 @@ def boundary_evidence(
     """Evidence of the n-grams that straddle the space joining each pair of
     normalized texts: exactly the grams of ``left + " " + right`` counted
     by neither side alone. Returned as by :func:`evidence`."""
+    import numpy as np
+
     keep = model.ngram_range[1] - 1
     tails = [left[-keep:] if keep else "" for left in lefts]
     windows = [tail + " " + right[:keep] for tail, right in zip(tails, rights)]
@@ -248,6 +264,8 @@ def boundary_evidence(
 
 
 def _log_softmax(raw: np.ndarray) -> np.ndarray:
+    import numpy as np
+
     peak = raw.max()
     return raw - (peak + np.log(np.exp(raw - peak).sum()))
 
@@ -315,6 +333,8 @@ class _Reader:
 def save_model(model: LangIdModel, path) -> None:
     """Write the versioned binary model format (magic ``LIDM``). The file
     is replaced whole, or not at all."""
+    import numpy as np
+
     w = _Writer()
     w.raw(MAGIC)
     w.pack("B", FORMAT_VERSION)
@@ -335,6 +355,8 @@ def save_model(model: LangIdModel, path) -> None:
 
 def load_model(path) -> LangIdModel:
     """Read a model written by :func:`save_model`; the round trip is exact."""
+    import numpy as np
+
     with open(path, "rb") as fh:
         data = fh.read()
     r = _Reader(data)

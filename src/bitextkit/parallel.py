@@ -3,11 +3,14 @@
 Workers must not change any result: the mapped functions are pure, and
 ``parallel_map`` returns results in input order, so output is identical
 for any worker count.
+
+``multiprocessing`` is imported only when a pool runs: most invocations
+map in-process, and the import is a measurable part of a short command's
+start-up.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 from typing import Callable, Sequence
 
 _MAX_CHUNKSIZE = 256
@@ -20,12 +23,16 @@ def parallel_map(
     initializer: Callable | None = None,
     initargs: tuple = (),
 ) -> list:
-    """Map ``fn`` over ``items``, in-process when ``workers <= 1``."""
+    """Map ``fn`` over ``items``, in-process when ``workers <= 1``. A pool
+    starts at most one process per item, since more would sit idle."""
     if workers <= 1 or len(items) <= 1:
         if initializer is not None:
             initializer(*initargs)
         return [fn(item) for item in items]
+    import multiprocessing
+
+    processes = min(workers, len(items))
     # about four tasks per worker, so that few items still spread over all
-    chunksize = min(_MAX_CHUNKSIZE, -(-len(items) // (4 * workers)))
-    with multiprocessing.Pool(workers, initializer=initializer, initargs=initargs) as pool:
+    chunksize = min(_MAX_CHUNKSIZE, -(-len(items) // (4 * processes)))
+    with multiprocessing.Pool(processes, initializer=initializer, initargs=initargs) as pool:
         return list(pool.imap(fn, items, chunksize=chunksize))
