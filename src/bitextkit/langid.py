@@ -11,7 +11,7 @@ vocabulary (:class:`GramTrie`) one n-gram length at a time.
 numpy is imported inside the functions that build arrays (the trie, the
 evidence walk, training, and the model's save and load), not at module
 level: the eval commands import this module through the CLI but never
-touch a model, and numpy's import was over half of their start-up.
+touch a model, and numpy's import was about a third of their start-up.
 """
 
 from __future__ import annotations

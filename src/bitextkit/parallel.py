@@ -5,8 +5,7 @@ Workers must not change any result: the mapped functions are pure, and
 for any worker count.
 
 ``multiprocessing`` is imported only when a pool runs: most invocations
-map in-process, and the import is a measurable part of a short command's
-start-up.
+map in-process, and the import would add to every command's start-up.
 """
 
 from __future__ import annotations
