@@ -11,11 +11,12 @@ removed first. Every decision is tallied into an auditable report.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
-from .corpus_io import SentencePair
+from .corpus_io import SentencePair, batched
 from .exceptions import IndexMismatch, UnknownLanguage
 from .langid import LangIdModel, boundary_evidence, evidence, normalize_text
 from .parallel import parallel_map
@@ -72,6 +73,22 @@ class CleaningReport:
         if include_decisions and self.decisions is not None:
             payload["decisions"] = [d.to_dict() for d in self.decisions]
         return payload
+
+    def add(self, pairs: Sequence[SentencePair], decisions: Sequence[CleaningDecision]) -> list:
+        """Tally a chunk of pairs and their decisions, and append the
+        decisions when the report keeps them; returns the kept pairs."""
+        kept = []
+        tally = self.removed_by_reason
+        for pair, decision in zip(pairs, decisions):
+            if decision.keep:
+                kept.append(pair)
+            else:
+                tally[decision.reason.value] = tally.get(decision.reason.value, 0) + 1
+        self.total += len(pairs)
+        self.kept += len(kept)
+        if self.decisions is not None:
+            self.decisions.extend(decisions)
+        return kept
 
 
 @dataclass
@@ -152,14 +169,42 @@ def _decide_in_worker(pairs: Sequence[SentencePair]) -> list:
     return _decide_chunk(pairs, _WORKER_MODEL, _WORKER_MODE)
 
 
-def clean(
-    pairs: Iterable[SentencePair],
-    model: LangIdModel,
-    mode: str = "both",
-    workers: int = 1,
-    keep_decisions: bool = False,
-) -> CleanResult:
-    """Filter a corpus, returning kept pairs (input order) and a report.
+class _Chunks:
+    """``pairs`` in lists of ``_CHUNK_PAIRS``, read as they are iterated and
+    queued until the caller takes their decisions. Its length is the number
+    of lists that ``total`` pairs make, by which ``parallel_map`` sizes its
+    pool."""
+
+    def __init__(self, pairs: Iterable[SentencePair], total: int, languages: Sequence[str]):
+        self.pairs = pairs
+        self.total = total
+        self.languages = languages
+        self.read: deque = deque()
+
+    def __len__(self) -> int:
+        return -(-self.total // _CHUNK_PAIRS)
+
+    def __iter__(self) -> Iterator[list]:
+        known = set(self.languages)
+        for chunk in batched(self.pairs, _CHUNK_PAIRS):
+            for pair in chunk:
+                if pair.src_lang == pair.tgt_lang:
+                    raise ValueError(f"pair {pair.index}: src_lang equals tgt_lang ({pair.src_lang!r})")
+                for code in (pair.src_lang, pair.tgt_lang):
+                    if code not in known:
+                        raise UnknownLanguage(code, self.languages)
+            self.read.append(chunk)
+            yield chunk
+
+
+def clean_chunks(
+    pairs: Iterable[SentencePair], total: int, model: LangIdModel, mode: str = "both", workers: int = 1
+) -> Iterator[tuple[list, list]]:
+    """Decide ``pairs`` a chunk of ``_CHUNK_PAIRS`` at a time, yielding each
+    chunk with its decisions in input order. ``total``, the number of
+    pairs, sizes the pool; ``pairs`` is read only a bounded number of
+    chunks ahead of the chunks taken, so a streamed corpus is never held
+    whole.
 
     Raises UnknownLanguage when a pair claims a language the model does not
     cover, and ValueError when a pair claims the same language twice.
@@ -168,36 +213,31 @@ def clean(
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-    pairs = list(pairs)
-    known = set(model.languages)
-    for pair in pairs:
-        if pair.src_lang == pair.tgt_lang:
-            raise ValueError(f"pair {pair.index}: src_lang equals tgt_lang ({pair.src_lang!r})")
-        for code in (pair.src_lang, pair.tgt_lang):
-            if code not in known:
-                raise UnknownLanguage(code, model.languages)
-
-    chunks = [pairs[start : start + _CHUNK_PAIRS] for start in range(0, len(pairs), _CHUNK_PAIRS)]
+    chunks = _Chunks(pairs, total, model.languages)
     try:
-        decided = parallel_map(_decide_in_worker, chunks, workers=workers, initializer=_init_worker, initargs=(model, mode))
+        for decisions in parallel_map(
+            _decide_in_worker, chunks, workers=workers, initializer=_init_worker, initargs=(model, mode)
+        ):
+            yield chunks.read.popleft(), decisions
     finally:
-        # an in-process map sets the worker state here; it need not outlive the call
+        # an in-process map sets the worker state here; it need not outlive the map
         _init_worker(None, "both")
-    decisions = [decision for chunk in decided for decision in chunk]
 
+
+def clean(
+    pairs: Iterable[SentencePair],
+    model: LangIdModel,
+    mode: str = "both",
+    workers: int = 1,
+    keep_decisions: bool = False,
+) -> CleanResult:
+    """Filter a corpus, returning kept pairs (input order) and a report.
+    It is ``clean_chunks`` over a list, and raises as that does."""
+    pairs = list(pairs)
+    report = CleaningReport(0, 0, {}, [] if keep_decisions else None)
     kept = []
-    tally: dict = {}
-    for pair, decision in zip(pairs, decisions):
-        if decision.keep:
-            kept.append(pair)
-        else:
-            tally[decision.reason.value] = tally.get(decision.reason.value, 0) + 1
-    report = CleaningReport(
-        total=len(pairs),
-        kept=len(kept),
-        removed_by_reason=tally,
-        decisions=list(decisions) if keep_decisions else None,
-    )
+    for chunk, decisions in clean_chunks(pairs, len(pairs), model, mode, workers):
+        kept += report.add(chunk, decisions)
     return CleanResult(kept=kept, report=report)
 
 

@@ -17,7 +17,7 @@ import click
 
 from . import __version__
 from .cleaner import MODES, audit_table
-from .corpus_io import atomic_write, batched, corpus_stats, decode_lines, read_lines, read_parallel, read_tsv
+from .corpus_io import atomic_write, batched, corpus_stats, count_lines, decode_lines, read_lines, read_parallel, read_tsv
 from .exceptions import BitextError, LineCountMismatch
 from .langid import classify_lines, load_model, save_model, train
 from .metrics import score_report
@@ -144,13 +144,13 @@ def clean_cmd(src_path, tgt_path, src_lang, tgt_lang, model_path, mode, out_pref
         _fail("--model is required unless --no-clean is given", 1)
     out_src = f"{out_prefix}.{src_lang}"
     out_tgt = f"{out_prefix}.{tgt_lang}"
-    pairs = list(read_parallel(src_path, tgt_path, src_lang, tgt_lang))
-    kept, body, decisions = clean_and_write(
-        pairs, None if no_clean else model_path, mode, workers, out_src, out_tgt,
-        keep_decisions=bool(audit), include_decisions=full_report,
+    pairs = read_parallel(src_path, tgt_path, src_lang, tgt_lang)
+    body, removed = clean_and_write(
+        pairs, count_lines(src_path), None if no_clean else model_path, mode, workers, out_src, out_tgt,
+        audit=bool(audit), include_decisions=full_report,
     )
     if audit and not no_clean:
-        click.echo(audit_table(decisions, pairs, fmt=audit), err=True)
+        click.echo(audit_table(*removed, fmt=audit), err=True)
     payload = with_provenance(
         body,
         {
@@ -166,7 +166,7 @@ def clean_cmd(src_path, tgt_path, src_lang, tgt_lang, model_path, mode, out_pref
         dump_json(report_path, payload)
     else:
         _echo_json(payload)
-    click.echo(f"kept {len(kept)}/{len(pairs)} pairs -> {out_src}, {out_tgt}", err=True)
+    click.echo(f"kept {body['kept']}/{body['total']} pairs -> {out_src}, {out_tgt}", err=True)
 
 
 def _write_lines(output_path: str, lines: Iterable[str]) -> None:

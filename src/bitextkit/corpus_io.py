@@ -17,7 +17,7 @@ import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import islice
-from typing import BinaryIO, Iterable, Iterator, Optional, TextIO
+from typing import BinaryIO, Callable, Iterable, Iterator, Optional, TextIO
 
 from .exceptions import EncodingError, LineCountMismatch, MalformedRow, UnwritableField
 
@@ -89,6 +89,17 @@ def read_lines(path) -> list[str]:
     """All lines of a UTF-8 file, split as ``decode_lines`` splits them."""
     with open(path, "rb") as fh:
         return list(decode_lines(fh))
+
+
+def count_lines(path) -> int:
+    """How many lines ``read_lines`` gives for ``path``, counted without
+    decoding."""
+    count, last = 0, b"\n"
+    with open(path, "rb") as fh:
+        for block in iter(lambda: fh.read(1 << 20), b""):
+            count += block.count(b"\n")
+            last = block[-1:]
+    return count + (last != b"\n")
 
 
 def _count_lines(stream: Iterator[str]) -> int:
@@ -194,25 +205,50 @@ def atomic_write(*paths) -> Iterator[tuple[TextIO, ...]]:
         raise
 
 
-def write_parallel(pairs: Iterable[SentencePair], source_path, target_path) -> int:
-    """Write pairs to the two-file format. Returns the number of pairs written.
+@contextmanager
+def parallel_writer(source_path, target_path) -> Iterator[Callable[[Iterable[SentencePair]], int]]:
+    """Yield a function that writes pairs to the two-file format and
+    returns how many it wrote; call it as often as needed. Both files are
+    replaced whole when the block completes, and left as they were when it
+    raises.
 
     Text that would not read back unchanged is rejected with UnwritableField:
     an LF would silently break the alignment, and a trailing CR would be
-    stripped as part of a CRLF ending. A CR inside the text is kept. Both
-    files are replaced whole, and only once every pair is written.
+    stripped as part of a CRLF ending. A CR inside the text is kept. An
+    OSError of the writing names both paths; one raised by the block
+    itself passes unchanged.
     """
-    count = 0
+    ours = True  # whether an OSError comes from the writing, not the block
+
+    def write(pairs: Iterable[SentencePair]) -> int:
+        nonlocal ours
+        ours = True
+        count = 0
+        for pair in pairs:
+            _check_writable(pair)
+            src_fh.write(pair.source + "\n")
+            tgt_fh.write(pair.target + "\n")
+            count += 1
+        ours = False
+        return count
+
     try:
         with atomic_write(source_path, target_path) as (src_fh, tgt_fh):
-            for pair in pairs:
-                _check_writable(pair)
-                src_fh.write(pair.source + "\n")
-                tgt_fh.write(pair.target + "\n")
-                count += 1
+            ours = False
+            yield write
+            ours = True
     except OSError as exc:
+        if not ours:
+            raise
         raise OSError(f"writing parallel corpus to {source_path} / {target_path}: {exc}") from exc
-    return count
+
+
+def write_parallel(pairs: Iterable[SentencePair], source_path, target_path) -> int:
+    """Write pairs to the two-file format, checked as ``parallel_writer``
+    checks them. Returns the number of pairs written. Both files are
+    replaced whole, and only once every pair is written."""
+    with parallel_writer(source_path, target_path) as write:
+        return write(pairs)
 
 
 def write_tsv(pairs: Iterable[SentencePair], path) -> int:
@@ -231,28 +267,48 @@ def write_tsv(pairs: Iterable[SentencePair], path) -> int:
     return count
 
 
+class StatsFold:
+    """``corpus_stats`` as a fold: ``add`` pairs as they come, then read
+    ``stats()``. It holds the word types of each side, not the pairs."""
+
+    def __init__(self):
+        self.sentences = 0
+        self.words_source = self.words_target = 0
+        self.types_source: set[str] = set()
+        self.types_target: set[str] = set()
+
+    def add(self, pairs: Iterable[SentencePair]) -> None:
+        sentences = total_src = total_tgt = 0
+        types_src, types_tgt = self.types_source, self.types_target
+        for pair in pairs:
+            sentences += 1
+            src_tokens = pair.source.split()
+            tgt_tokens = pair.target.split()
+            total_src += len(src_tokens)
+            total_tgt += len(tgt_tokens)
+            types_src.update(src_tokens)
+            types_tgt.update(tgt_tokens)
+        self.sentences += sentences
+        self.words_source += total_src
+        self.words_target += total_tgt
+
+    def stats(self) -> CorpusStats:
+        total_src, total_tgt = self.words_source, self.words_target
+        return CorpusStats(
+            sentence_count=self.sentences,
+            word_count_source=total_src,
+            word_count_target=total_tgt,
+            ttr_source=(len(self.types_source) / total_src) if total_src else None,
+            ttr_target=(len(self.types_target) / total_tgt) if total_tgt else None,
+        )
+
+
 def corpus_stats(pairs: Iterable[SentencePair]) -> CorpusStats:
     """Count sentences, whitespace-delimited words, and corpus-global TTR.
 
     Words are maximal runs of non-whitespace, so already-tokenized text is
     counted token by token.
     """
-    sentences = 0
-    total_src = total_tgt = 0
-    types_src: set[str] = set()
-    types_tgt: set[str] = set()
-    for pair in pairs:
-        sentences += 1
-        src_tokens = pair.source.split()
-        tgt_tokens = pair.target.split()
-        total_src += len(src_tokens)
-        total_tgt += len(tgt_tokens)
-        types_src.update(src_tokens)
-        types_tgt.update(tgt_tokens)
-    return CorpusStats(
-        sentence_count=sentences,
-        word_count_source=total_src,
-        word_count_target=total_tgt,
-        ttr_source=(len(types_src) / total_src) if total_src else None,
-        ttr_target=(len(types_tgt) / total_tgt) if total_tgt else None,
-    )
+    fold = StatsFold()
+    fold.add(pairs)
+    return fold.stats()

@@ -135,9 +135,9 @@ def started(monkeypatch):
 
 
 def test_pool_starts_one_process_per_item_at_most(started):
-    assert parallel_map(abs, [-3, 1, -2], workers=8) == [3, 1, 2]
-    assert parallel_map(abs, list(range(-5, 5)), workers=4) == [5, 4, 3, 2, 1, 0, 1, 2, 3, 4]
-    assert parallel_map(abs, [-1], workers=4) == [1]
+    assert list(parallel_map(abs, [-3, 1, -2], workers=8)) == [3, 1, 2]
+    assert list(parallel_map(abs, list(range(-5, 5)), workers=4)) == [5, 4, 3, 2, 1, 0, 1, 2, 3, 4]
+    assert list(parallel_map(abs, [-1], workers=4)) == [1]
     assert started == [3, 4]
 
 
