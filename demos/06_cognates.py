@@ -9,7 +9,8 @@ quantifies how well a model handles shared vocabulary.
 """
 
 from bitextkit import SentencePair
-from bitextkit.cognates import count_examined, extract_cognates, levenshtein, preservation
+from bitextkit.cognates import count_examined, extract_cognates, preservation
+from bitextkit.editdist import levenshtein
 
 print("levenshtein('contribució', 'contribución') =", levenshtein("contribució", "contribución"))
 print()

@@ -44,7 +44,7 @@ from itertools import chain, islice, repeat
 from operator import attrgetter
 from typing import Iterator, Sequence
 
-from ..cognates import advance, edit_state
+from ..editdist import advance, edit_state
 from ..exceptions import EmptyCorpus, LineCountMismatch
 from .ngrams import ngram_positions
 

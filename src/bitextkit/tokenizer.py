@@ -60,10 +60,9 @@ _HAS_ALPHA = regex.compile(rf"[{_ALPHA}]")
 _STARTS_LOWER = regex.compile(r"^\p{Ll}")
 _STARTS_DIGIT = regex.compile(rf"^[{_NUM}]")
 
-# Placeholder words: a tag and a number. Neither tag overlaps itself or
-# the other, and both are letters, which no rule splits or joins.
+# The multi-dot placeholder word is this tag and the run's length. The tag
+# does not overlap itself, and it is letters, which no rule splits or joins.
 _MULTIDOT_TAG = "MULTIDOT"
-_PROTECTED_TAG = "THISISPROTECTED"
 
 _PREFIX_PACKAGE_DIR = "data/nonbreaking_prefixes"
 
@@ -80,7 +79,6 @@ class TokenizerRules:
     nonbreaking_prefixes: frozenset = frozenset()
     numeric_only_prefixes: frozenset = frozenset()
     aggressive_hyphen: bool = False
-    protected_patterns: tuple = ()
 
     @property
     def apostrophe_class(self) -> str:
@@ -119,20 +117,15 @@ def _prefix_resource(lang: str):
     return resources.files("bitextkit").joinpath(f"{_PREFIX_PACKAGE_DIR}/nonbreaking_prefix.{lang}")
 
 
-def _rules_for(lang: str, aggressive_hyphen: bool, protected_patterns: tuple) -> TokenizerRules | None:
+def _rules_for(lang: str, aggressive_hyphen: bool) -> TokenizerRules | None:
     res = _prefix_resource(lang)
     if not res.is_file():
         return None
     plain, numeric = parse_prefix_file(res.read_text(encoding="utf-8"))
-    return TokenizerRules(lang, plain, numeric, aggressive_hyphen, tuple(protected_patterns))
+    return TokenizerRules(lang, plain, numeric, aggressive_hyphen)
 
 
-def resolve_rules(
-    lang: str,
-    pair_other_lang: str | None = None,
-    aggressive_hyphen: bool = False,
-    protected_patterns: tuple = (),
-) -> TokenizerRules:
+def resolve_rules(lang: str, pair_other_lang: str | None = None, aggressive_hyphen: bool = False) -> TokenizerRules:
     """Rules for ``lang``, falling back to the paired language's rules when
     ``lang`` is unsupported, and to neutral rules when both are.
 
@@ -140,15 +133,11 @@ def resolve_rules(
     fallback is observable (e.g. Bambara paired with French resolves to the
     French rules).
     """
-    rules = _rules_for(lang.lower(), aggressive_hyphen, protected_patterns)
+    rules = _rules_for(lang.lower(), aggressive_hyphen)
     if rules is None and pair_other_lang:
-        rules = _rules_for(pair_other_lang.lower(), aggressive_hyphen, protected_patterns)
+        rules = _rules_for(pair_other_lang.lower(), aggressive_hyphen)
     if rules is None:
-        rules = TokenizerRules(
-            lang.lower(),
-            aggressive_hyphen=aggressive_hyphen,
-            protected_patterns=tuple(protected_patterns),
-        )
+        rules = TokenizerRules(lang.lower(), aggressive_hyphen=aggressive_hyphen)
     return rules
 
 
@@ -158,24 +147,6 @@ def _padded(line: str) -> str:
     text = _JUNK.sub("", unicodedata.normalize("NFC", line))
     # after the junk is gone, str.split's whitespace is exactly regex's \s
     return " " + " ".join(text.split()) + " "
-
-
-def _stashed(text: str, patterns: list, tag: str, protected: list) -> str:
-    """``text`` with each protected-pattern match stashed in ``protected``
-    behind a placeholder word. A later pattern runs on each stretch of
-    input between earlier matches, one stretch at a time, so it can
-    neither match into a placeholder nor see one."""
-
-    def _stash(m):
-        protected.append(m.group(0))
-        return f" {tag}{len(protected) - 1:03d} "
-
-    placeholder = regex.compile(f"( {tag}\\d+ )")  # the tag is nowhere in the input
-    for pattern in patterns:
-        pieces = placeholder.split(text)
-        pieces[::2] = [pattern.sub(_stash, piece) for piece in pieces[::2]]
-        text = "".join(pieces)
-    return text
 
 
 def _free_tag(text: str, tag: str) -> str:
@@ -215,30 +186,20 @@ def _split_periods(text: str, rules: TokenizerRules) -> str:
     return " ".join([text[a:b] for a, b in zip(cuts, cuts[1:])])
 
 
-def _restore(tokens: list, multidot_tag: str, protected_tag: str, protected: list) -> list:
-    """Tokens with each placeholder replaced by the text it stands for. A
-    protected placeholder is its tag followed by digits. The tag occurs
-    nowhere in the input and later patterns never see an earlier
-    placeholder (see ``_stashed``), so every token that starts with the tag
-    is one; the digit check only keeps a token that is not one from
-    indexing ``protected``."""
+def _restore(tokens: list, multidot_tag: str) -> list:
+    """Tokens with each multi-dot placeholder replaced by its run of
+    periods. ``multidot_tag`` occurs nowhere in the input (see
+    ``_free_tag``), so every token that starts with it is a placeholder."""
     restored = []
     for token in tokens:
         if token.startswith(multidot_tag):
             token = "." * int(token[len(multidot_tag) :])
-        elif protected and token.startswith(protected_tag) and token[len(protected_tag) :].isdigit():
-            token = protected[int(token[len(protected_tag) :])]
         restored.append(token)
     return restored
 
 
-def _tokenize_chunk(lines: Sequence[str], rules: TokenizerRules, patterns: list) -> list:
+def _tokenize_chunk(lines: Sequence[str], rules: TokenizerRules) -> list:
     texts = [_padded(line) for line in lines]
-    # per line: the protected placeholder tag and the stashed matches
-    stashes = [("", [])] * len(lines)
-    if patterns:
-        stashes = [(_free_tag(text, _PROTECTED_TAG), []) for text in texts]
-        texts = [_stashed(text, patterns, tag, protected) for text, (tag, protected) in zip(texts, stashes)]
     # An LF inside a line is junk, so LF joins the lines unambiguously. Every
     # line starts and ends with a space, so no rule's match or context
     # reaches past its line, and no rule writes an LF.
@@ -253,26 +214,21 @@ def _tokenize_chunk(lines: Sequence[str], rules: TokenizerRules, patterns: list)
     for pattern, repl in _APOS_RULES[rules.apostrophe_class]:
         text = pattern.sub(repl, text)
     segments = _split_periods(text, rules).split("\n")
-    if multidot_tag not in text and not any(protected for _, protected in stashes):
+    if multidot_tag not in text:
         return [segment.split() for segment in segments]
-    return [
-        _restore(segment.split(), multidot_tag, tag, protected)
-        for segment, (tag, protected) in zip(segments, stashes)
-    ]
+    return [_restore(segment.split(), multidot_tag) for segment in segments]
 
 
 def tokenize_lines(lines: Sequence[str], rules: TokenizerRules) -> list[list[str]]:
     """Tokenize each line into Moses-convention tokens, one list per line.
 
-    Each line is normalized, padded and has its protected patterns stashed
-    on its own; then a chunk of lines at a time is joined with LF, so that
-    each rule runs once per chunk. A line's tokens do not depend on the
-    other lines or on the chunk size.
+    Each line is normalized and padded on its own; then a chunk of lines at
+    a time is joined with LF, so that each rule runs once per chunk. A
+    line's tokens do not depend on the other lines or on the chunk size.
     """
-    patterns = [regex.compile(pattern) for pattern in rules.protected_patterns]
     tokens: list = []
     for start in range(0, len(lines), _CHUNK_LINES):
-        tokens += _tokenize_chunk(lines[start : start + _CHUNK_LINES], rules, patterns)
+        tokens += _tokenize_chunk(lines[start : start + _CHUNK_LINES], rules)
     return tokens
 
 

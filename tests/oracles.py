@@ -224,7 +224,8 @@ def cognates_per_pair(pairs, threshold, min_len):
     """Cognates of tokenized pairs: ``levenshtein`` on every eligible source
     word x target word of each sentence, then one-to-one greedy matching by
     ascending ``(normalized distance, source position, target position)``."""
-    from bitextkit.cognates import CognatePair, levenshtein
+    from bitextkit.cognates import CognatePair
+    from bitextkit.editdist import levenshtein
 
     cognates = []
     for pair in pairs:
@@ -439,39 +440,14 @@ def tokenize_per_line(text, rules):
     text = unicodedata.normalize("NFC", text)
     text = _JUNK.sub("", text)
     text = " " + _WS.sub(" ", text).strip() + " "
-
-    # a placeholder tag the line does not contain, so that only the words
-    # written here are restored
-    def unused_tag(tag):
-        while tag in text:
-            tag += "Q"
-        return tag
-
-    # each pattern matches only the stretches of input between the matches
-    # of earlier patterns, each stretch on its own
-    protected = []
-    protected_tag = unused_tag("THISISPROTECTED")
-    parts = [(False, text)]  # (stashed?, the input text or its stash index)
-    for pattern in rules.protected_patterns:
-        split = []
-        for stashed, part in parts:
-            if stashed:
-                split.append((True, part))
-                continue
-            last = 0
-            for m in regex.finditer(pattern, part):
-                split.append((False, part[last : m.start()]))
-                protected.append(m.group(0))
-                split.append((True, len(protected) - 1))
-                last = m.end()
-            split.append((False, part[last:]))
-        parts = split
-    text = "".join(f" {protected_tag}{part:03d} " if stashed else part for stashed, part in parts)
-
     text = _SPECIALS.sub(r" \1 ", text)
     if rules.aggressive_hyphen:
         text = _AGGRESSIVE_HYPHEN.sub(r"\1 @-@ ", text)
-    multidot_tag = unused_tag("MULTIDOT")
+    # a placeholder tag the line does not contain, so that only the words
+    # written here are restored
+    multidot_tag = "MULTIDOT"
+    while multidot_tag in text:
+        multidot_tag += "Q"
     text = _MULTIDOT.sub(lambda m: f" {multidot_tag}{len(m.group(0))} ", text)
     for pattern, repl in _COMMA_RULES:
         text = pattern.sub(repl, text)
@@ -481,16 +457,8 @@ def tokenize_per_line(text, rules):
     tokens = _handle_periods(text.split(), rules)
 
     multidot_token = regex.compile(rf"^{multidot_tag}(\d+)$")
-    protected_token = regex.compile(rf"^{protected_tag}(\d+)$")
     restored = []
     for token in tokens:
         m = multidot_token.match(token)
-        if m:
-            restored.append("." * int(m.group(1)))
-            continue
-        m = protected_token.match(token)
-        if m:
-            restored.append(protected[int(m.group(1))])
-            continue
-        restored.append(token)
+        restored.append("." * int(m.group(1)) if m else token)
     return restored

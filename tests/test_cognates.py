@@ -9,15 +9,13 @@ from bitextkit import cognates as cognates_module
 from bitextkit.cognates import (
     _WordTable,
     _within,
-    advance,
     count_examined,
-    edit_state,
     extract_cognates,
-    levenshtein,
     normalized_distance,
     preservation,
 )
 from bitextkit.corpus_io import SentencePair
+from bitextkit.editdist import advance, edit_state, levenshtein
 from bitextkit.exceptions import IndexMismatch
 
 from oracles import cognates_per_pair, edit_distance_matrix, levenshtein_recursive, preservation_per_token

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bitextkit.cognates import levenshtein
+from bitextkit.editdist import levenshtein
 from bitextkit.metrics import bleu_corpus, ribes, ter
 from bitextkit.metrics.ribes import DEFAULT_ALPHA, DEFAULT_BETA, word_alignment
 from bitextkit.metrics.ter import DEFAULT_MAX_SHIFT_SIZE

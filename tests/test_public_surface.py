@@ -6,6 +6,11 @@ attribute in the package or a demo, loaded as a bare name elsewhere in its
 own module, or mentioned in README.md or pyproject.toml. Decorated
 functions (the click commands) are reached through their decorators and
 are not checked.
+
+Likewise a parameter with a default, of a public function or of a public
+method of a public class, must be passed, by keyword or by position, by a
+call in the package or a demo: a setting that only the tests set is one
+more code path that nothing uses.
 """
 
 import ast
@@ -15,14 +20,29 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "bitextkit"
 
+# Parameters with defaults that only the tests pass, each kept on purpose.
+SET_BY_TESTS_ONLY = {
+    # acceptance criterion 10 and the worker-invariance tests run it with 1 and more workers
+    "cleaner.clean(workers)",
+    # acceptance criterion 3 scores TER without shifts
+    "metrics.ter.ter(shifts)",
+    # the tests substitute the environment that the config is checked against
+    "pipeline.validate_config(env)",
+}
+
 
 def _loaded_names(nodes) -> set:
     return {n.id for node in nodes for n in ast.walk(node) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
 
 
-def test_every_public_name_is_used_outside_the_tests():
+def _parse_package_and_demos() -> tuple:
     trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(PACKAGE.rglob("*.py"))}
     demos = [ast.parse(path.read_text(encoding="utf-8")) for path in sorted((ROOT / "demos").glob("*.py"))]
+    return trees, demos
+
+
+def test_every_public_name_is_used_outside_the_tests():
+    trees, demos = _parse_package_and_demos()
     named = set()
     for tree in [*trees.values(), *demos]:
         for node in ast.walk(tree):
@@ -45,3 +65,47 @@ def test_every_public_name_is_used_outside_the_tests():
                 continue
             unused.append(f"{path.relative_to(PACKAGE)}::{node.name}")
     assert unused == [], f"public names that nothing outside the tests uses: {unused}"
+
+
+def _public_callables(tree):
+    """(qualified name, def, is a bound method) of the public functions of
+    a module and the public methods of its public classes."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+            yield node.name, node, False
+        elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                    static = any(isinstance(d, ast.Name) and d.id == "staticmethod" for d in item.decorator_list)
+                    yield f"{node.name}.{item.name}", item, not static
+
+
+def test_every_defaulted_parameter_is_passed_outside_the_tests():
+    trees, demos = _parse_package_and_demos()
+    calls: dict = {}  # callee name -> its calls
+    for tree in [*trees.values(), *demos]:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                calls.setdefault(name, []).append(node)
+
+    unpassed = []
+    for path, tree in trees.items():
+        module = ".".join(path.relative_to(PACKAGE).with_suffix("").parts)
+        for qualname, fn, bound in _public_callables(tree):
+            args = fn.args
+            positional = [a.arg for a in args.posonlyargs + args.args][1 if bound else 0 :]
+            defaulted = positional[len(positional) - len(args.defaults) :]
+            defaulted += [a.arg for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+            for param in defaulted:
+                # a call that unpacks * or ** arguments may pass it
+                passed = any(
+                    any(kw.arg in (param, None) for kw in call.keywords)
+                    or any(isinstance(a, ast.Starred) for a in call.args)
+                    or (param in positional and len(call.args) > positional.index(param))
+                    for call in calls.get(fn.name, ())
+                )
+                if not passed and f"{module}.{qualname}({param})" not in SET_BY_TESTS_ONLY:
+                    unpassed.append(f"{module}.{qualname}({param})")
+    assert unpassed == [], f"parameters with defaults that only the tests pass: {unpassed}"

@@ -5,7 +5,7 @@ from collections import Counter
 
 import pytest
 
-from bitextkit.cognates import advance, edit_state, levenshtein
+from bitextkit.editdist import advance, edit_state, levenshtein
 from bitextkit.metrics import ter, ter_corpus
 from bitextkit.metrics.ngrams import ngram_positions
 

@@ -105,11 +105,6 @@ def test_aggressive_hyphen_mode():
     assert detokenize(["cost", "@-@", "effective", "plan"], rules) == "cost-effective plan"
 
 
-def test_protected_patterns_survive():
-    rules = resolve_rules("en", protected_patterns=(r"<[^>]+>",))
-    assert tokenize("see <a href='x'> now!", rules) == ["see", "<a href='x'>", "now", "!"]
-
-
 def test_multidot_lengths_preserved():
     rules = resolve_rules("en")
     assert tokenize("wait.. go.... now", rules) == ["wait", "..", "go", "....", "now"]
@@ -200,14 +195,10 @@ def fuzz_lines(seed: int, count: int) -> list:
 FUZZ = fuzz_lines(9, 2500)
 
 
-def _rules(lang, aggressive_hyphen=False, protected_patterns=()):
-    return resolve_rules(lang, aggressive_hyphen=aggressive_hyphen, protected_patterns=protected_patterns)
-
-
 @pytest.mark.parametrize("aggressive_hyphen", [False, True])
 @pytest.mark.parametrize("lang", RULE_LANGS)
 def test_tokenize_lines_equals_per_line_oracle(lang, aggressive_hyphen):
-    rules = _rules(lang, aggressive_hyphen)
+    rules = resolve_rules(lang, aggressive_hyphen=aggressive_hyphen)
     lines = SEED_TEXT + FUZZ
     want = [tokenize_per_line(line, rules) for line in lines]
     got = tokenize_lines(lines, rules)
@@ -215,22 +206,10 @@ def test_tokenize_lines_equals_per_line_oracle(lang, aggressive_hyphen):
     assert [(line, w, g) for line, w, g in zip(lines, want, got) if w != g] == []
 
 
-@pytest.mark.parametrize(
-    "patterns",
-    [(r"<[^>]+>",), (r"(?s).+",), (r"\s\S+\s",), (r"<[^>]+>", r"\d+"), (r"\d+", r"(?s)a.+?z")],
-)
-def test_protected_patterns_equal_per_line_oracle(patterns):
-    # "(?s).+" and "\s\S+\s" would reach across lines if matched on a chunk
-    for lang in ("en", "fr", "xx"):
-        rules = _rules(lang, True, patterns)
-        lines = SEED_TEXT[::7] + FUZZ[:800]
-        assert tokenize_lines(lines, rules) == [tokenize_per_line(line, rules) for line in lines]
-
-
 def test_tokenize_equals_oracle_on_every_case(data_dir):
     cases = [text for lang in ("en", "es", "ca", "pt", "fr") for _, text, _ in load_cases(data_dir, lang)]
     for lang in ("en", "ca", "xx"):
-        rules = _rules(lang, protected_patterns=(r"<[^>]+>",))
+        rules = resolve_rules(lang)
         for text in cases + FUZZ[:300]:
             assert tokenize(text, rules) == tokenize_per_line(text, rules)
 
@@ -238,7 +217,7 @@ def test_tokenize_equals_oracle_on_every_case(data_dir):
 @pytest.mark.parametrize("chunk_lines", [1, 7, 128, "default"])
 def test_tokens_do_not_depend_on_chunk_size(monkeypatch, chunk_lines):
     lines = FUZZ[:600] + SEED_TEXT[:300]
-    for rules in (_rules("es"), _rules("fr", True, (r"(?s).+",))):
+    for rules in (resolve_rules("es"), resolve_rules("fr", aggressive_hyphen=True)):
         expected = [tokenize_per_line(line, rules) for line in lines]
         if chunk_lines != "default":
             monkeypatch.setattr(tokenizer, "_CHUNK_LINES", chunk_lines)
@@ -274,17 +253,12 @@ def test_input_words_shaped_like_placeholders_tokenize_like_other_words():
     ]
     # the control character is removed before the rules run
     assert tokenize("MULTI\x00DOT5 ...", en) == ["MULTIDOT5", "..."]
-    tagged = resolve_rules("en", protected_patterns=(r"<[^>]+>",))
-    assert tokenize("code THISISPROTECTED000 here <b>", tagged) == ["code", "THISISPROTECTED000", "here", "<b>"]
-    assert tokenize("<i> THISISPROTECTED1 THISISPROTECTEDQ0 ...", tagged) == [
-        "<i>", "THISISPROTECTED1", "THISISPROTECTEDQ0", "...",
-    ]
     # one line's look-alike does not change how another line is restored
-    lines = ["MULTIDOT3 THISISPROTECTED000", "a... <b> c", "<u>.."]
-    assert tokenize_lines(lines, tagged) == [
-        ["MULTIDOT3", "THISISPROTECTED000"], ["a", "...", "<b>", "c"], ["<u>", ".."],
+    lines = ["MULTIDOT3 MULTIDOTQ7", "a... <b> c", "<u>.."]
+    assert tokenize_lines(lines, en) == [
+        ["MULTIDOT3", "MULTIDOTQ7"], ["a", "...", "<", "b", ">", "c"], ["<", "u", ">", ".."],
     ]
-    assert tokenize_lines(lines, tagged) == [tokenize_per_line(line, tagged) for line in lines]
+    assert tokenize_lines(lines, en) == [tokenize_per_line(line, en) for line in lines]
 
 
 def test_multidot_and_a_long_digit_run_allocates_nothing_large():
@@ -297,20 +271,3 @@ def test_multidot_and_a_long_digit_run_allocates_nothing_large():
         tracemalloc.stop()
     assert got == ["see", word, "now", "..."]
     assert peak < 1_000_000
-
-
-def test_a_later_protected_pattern_sees_only_the_text_between_earlier_matches():
-    rules = resolve_rules("en", protected_patterns=(r"<[^>]+>", r"\d+"))
-    assert tokenize("x <b> y 42", rules) == ["x", "<b>", "y", "42"]
-    assert tokenize_per_line("x <b> y 42", rules) == ["x", "<b>", "y", "42"]
-    # nor can a later match reach across an earlier one
-    rules = resolve_rules("en", protected_patterns=(r"\d+", r"a.+?z"))
-    assert tokenize("a 5 z then a-b z", rules) == ["a", "5", "z", "then", "a-b z"]
-    assert tokenize_per_line("a 5 z then a-b z", rules) == ["a", "5", "z", "then", "a-b z"]
-
-
-def test_more_than_a_thousand_protected_matches_are_all_restored():
-    rules = resolve_rules("en", protected_patterns=(r"<[^>]+>",))
-    line = " ".join(f"<t{i}>" for i in range(1005))
-    assert tokenize(line, rules) == [f"<t{i}>" for i in range(1005)]
-    assert tokenize_per_line(line, rules) == tokenize(line, rules)
