@@ -18,12 +18,12 @@ import click
 from . import __version__
 from .cleaner import MODES, audit_table
 from .corpus_io import atomic_write, batched, corpus_stats, count_lines, decode_lines, read_lines, read_parallel, read_tsv
+from .evaluation import cognate_report
 from .exceptions import BitextError, LineCountMismatch
 from .langid import classify_lines, load_model, save_model, train
 from .metrics import score_report
 from .pipeline import (
     clean_and_write,
-    cognate_report,
     dump_json,
     run_pipeline,
     validate_config,

@@ -8,7 +8,7 @@ checks whether a system translation still contains each reference-side
 cognate form.
 
 Both searches are exact but pruned: two lower bounds on the edit distance,
-read off a per-chunk table of the words, skip most pairs before the
+read off a per-call table of the words, skip most pairs before the
 bit-parallel kernel runs.
 """
 
@@ -21,13 +21,9 @@ from typing import Iterable, Optional, Sequence
 from .corpus_io import SentencePair
 from .editdist import levenshtein
 from .exceptions import IndexMismatch
-from .parallel import parallel_map
 
 DEFAULT_THRESHOLD = 0.3
 DEFAULT_MIN_LEN = 4
-
-# Sentence pairs per word table and per parallel_map item.
-_CHUNK_PAIRS = 128
 
 
 def normalized_distance(a: str, b: str) -> float:
@@ -97,8 +93,8 @@ class _WordTable:
     """Each raw token looked up, mapped once to ``(form, length, mask)``:
     its normalized form, the form's length, and a bit mask of the form's
     distinct characters, where each character new to the table gets the
-    next bit. Extraction builds one per chunk of pairs, ``preservation``
-    one per call."""
+    next bit. ``extract_cognates`` and ``preservation`` build one per
+    call."""
 
     def __init__(self):
         self.entries: dict = {}
@@ -145,13 +141,28 @@ def _within(a: tuple, b: tuple, threshold: float) -> Optional[tuple]:
     return (dist, nd) if nd <= threshold else None
 
 
-def _chunk_cognates(args) -> list:
-    chunk, threshold, min_len = args
+def extract_cognates(
+    pairs: Iterable[SentencePair],
+    threshold: float = DEFAULT_THRESHOLD,
+    min_len: int = DEFAULT_MIN_LEN,
+) -> list:
+    """Cognate pairs between the source and target sides of tokenized pairs.
+
+    Within a sentence, each source token of length >= ``min_len`` is matched
+    one-to-one against target tokens, greedily by ascending normalized
+    distance (ties resolved by leftmost positions), keeping matches within
+    ``threshold``. The search is exact: a pair is only skipped when a lower
+    bound on its distance is already over ``threshold``. It runs in-process
+    over the pairs it is given; callers that map it over workers hand it
+    chunks.
+    """
+    if not 0 < threshold <= 1:
+        raise ValueError(f"threshold must be in (0, 1], got {threshold}")
     table = _WordTable()
     found = []
-    for index, source_text, target_text in chunk:
-        src_tokens = source_text.split()
-        tgt_tokens = target_text.split()
+    for pair in pairs:
+        src_tokens = pair.source.split()
+        tgt_tokens = pair.target.split()
         tgt_entries = [table[tok] for tok in tgt_tokens]
         candidates = []
         for i, tok in enumerate(src_tokens):
@@ -178,7 +189,7 @@ def _chunk_cognates(args) -> list:
                     target_word=tgt_tokens[j],
                     distance=dist,
                     normalized_distance=nd,
-                    source_sentence_index=index,
+                    source_sentence_index=pair.index,
                     source_position=i,
                     target_position=j,
                 )
@@ -186,31 +197,6 @@ def _chunk_cognates(args) -> list:
         sentence.sort(key=lambda c: c.source_position)
         found.extend(sentence)
     return found
-
-
-def extract_cognates(
-    pairs: Iterable[SentencePair],
-    threshold: float = DEFAULT_THRESHOLD,
-    min_len: int = DEFAULT_MIN_LEN,
-    workers: int = 1,
-) -> list:
-    """Cognate pairs between the source and target sides of tokenized pairs.
-
-    Within a sentence, each source token of length >= ``min_len`` is matched
-    one-to-one against target tokens, greedily by ascending normalized
-    distance (ties resolved by leftmost positions), keeping matches within
-    ``threshold``. The search is exact: a pair is only skipped when a lower
-    bound on its distance is already over ``threshold``. Workers map over
-    chunks of ``_CHUNK_PAIRS`` pairs.
-    """
-    if not 0 < threshold <= 1:
-        raise ValueError(f"threshold must be in (0, 1], got {threshold}")
-    jobs = [(p.index, p.source, p.target) for p in pairs]
-    chunks = [(jobs[start : start + _CHUNK_PAIRS], threshold, min_len) for start in range(0, len(jobs), _CHUNK_PAIRS)]
-    cognates: list = []
-    for found in parallel_map(_chunk_cognates, chunks, workers=workers):
-        cognates.extend(found)
-    return cognates
 
 
 def count_examined(pairs: Iterable[SentencePair], min_len: int = DEFAULT_MIN_LEN) -> int:
@@ -233,17 +219,26 @@ def preservation(
     the extraction pool size (``count_examined``), reported as
     ``pairs_examined``, so that ``cognate_rate`` is the share of candidate
     words that were cognates.
+
+    A target word whose normalized form the sentence has is preserved
+    without a search when ``threshold`` is at least 0: its distance is 0.
     """
+    shortcut = threshold >= 0
     table = _WordTable()
     preserved = 0
+    last = None
     for cognate in cognates:
         idx = cognate.source_sentence_index
         if idx < 0 or idx >= len(system_output):
             raise IndexMismatch(
                 f"cognate at sentence {idx} outside system output of {len(system_output)} sentences"
             )
+        if idx != last:  # extraction lists a sentence's cognates together
+            last = idx
+            sentence = [table[tok] for tok in system_output[idx]]
+            forms = {entry[0] for entry in sentence}
         target = table[cognate.target_word]
-        if any(_within(target, table[tok], threshold) is not None for tok in system_output[idx]):
+        if (shortcut and target[0] in forms) or any(_within(target, entry, threshold) is not None for entry in sentence):
             preserved += 1
 
     return CognateReport.of(examined, len(cognates), threshold, preserved)

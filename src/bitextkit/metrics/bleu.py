@@ -14,7 +14,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
-from ..exceptions import EmptyCorpus, LineCountMismatch
+from .segments import fold_segments
 
 MAX_ORDER = 4
 
@@ -65,19 +65,54 @@ def _clipped(hyp: Tokens, refs: Sequence[Tokens], n: int) -> int:
     return sum(min(count, clip.get(gram, 0)) for gram, count in Counter(grams).items())
 
 
-def _segment_stats(hyp: Tokens, refs: Sequence[Tokens], correct: list, total: list) -> None:
-    """Add the segment's clipped and total n-gram counts, n = 1..4.
+@dataclass(frozen=True)
+class BleuStats:
+    """One segment's sufficient statistics: its clipped and total n-gram
+    counts for n = 1..4, its length and its closest reference length."""
+
+    correct: tuple
+    total: tuple
+    hyp_len: int
+    ref_len: int
+
+
+def segment_stats(hyp: Tokens, refs: Sequence[Tokens]) -> BleuStats:
+    """The segment's clipped and total n-gram counts, n = 1..4, and lengths.
 
     A hypothesis has ``max(0, len - n + 1)`` n-grams. When it equals a
     reference, that reference clips none of them, and the clip is a
     maximum over references, so every gram counts in full.
     """
+    if not refs:
+        raise ValueError("at least one reference is required")
     hyp = tuple(hyp)
-    copy = any(tuple(ref) == hyp for ref in refs)
-    for n in range(1, MAX_ORDER + 1):
-        grams = max(0, len(hyp) - n + 1)
-        total[n - 1] += grams
-        correct[n - 1] += grams if copy else _clipped(hyp, refs, n)
+    total = tuple(max(0, len(hyp) - n + 1) for n in range(1, MAX_ORDER + 1))
+    if any(tuple(ref) == hyp for ref in refs):
+        correct = total
+    else:
+        correct = tuple(_clipped(hyp, refs, n) for n in range(1, MAX_ORDER + 1))
+    return BleuStats(correct, total, len(hyp), _closest_ref_len(len(hyp), refs))
+
+
+class BleuFold:
+    """Corpus BLEU as a fold: ``add`` each segment's ``BleuStats``, then
+    read ``score()``. The statistics are integers, so their order does not
+    matter."""
+
+    def __init__(self):
+        self.correct = [0] * MAX_ORDER
+        self.total = [0] * MAX_ORDER
+        self.hyp_len = self.ref_len = 0
+
+    def add(self, stats: BleuStats) -> None:
+        for n in range(MAX_ORDER):
+            self.correct[n] += stats.correct[n]
+            self.total[n] += stats.total[n]
+        self.hyp_len += stats.hyp_len
+        self.ref_len += stats.ref_len
+
+    def score(self) -> BleuScore:
+        return _score_from_stats(self.correct, self.total, self.hyp_len, self.ref_len)
 
 
 def _score_from_stats(
@@ -117,32 +152,13 @@ def bleu_corpus(hypotheses: Sequence[Tokens], references: Sequence[Sequence[Toke
     Raises EmptyCorpus for a zero-length corpus and LineCountMismatch when
     the hypothesis and reference corpora disagree in length.
     """
-    if len(hypotheses) != len(references):
-        raise LineCountMismatch(len(hypotheses), len(references), context="hypotheses / references")
-    if not hypotheses:
-        raise EmptyCorpus("cannot score an empty corpus")
-
-    correct = [0] * MAX_ORDER
-    total = [0] * MAX_ORDER
-    hyp_len = 0
-    ref_len = 0
-    for hyp, refs in zip(hypotheses, references):
-        if not refs:
-            raise ValueError("every segment needs at least one reference")
-        hyp_len += len(hyp)
-        ref_len += _closest_ref_len(len(hyp), refs)
-        _segment_stats(hyp, refs, correct, total)
-    return _score_from_stats(correct, total, hyp_len, ref_len)
+    return fold_segments(BleuFold(), segment_stats, hypotheses, references).score()
 
 
 def bleu_sentence(hyp: Tokens, refs: Sequence[Tokens], smoothing: str = "none") -> BleuScore:
     """Sentence BLEU; with ``smoothing="add_one_on_zero"`` any zero precision
     for n >= 2 becomes (correct+1)/(total+1)."""
-    if not refs:
-        raise ValueError("at least one reference is required")
     if smoothing not in ("none", "add_one_on_zero"):
         raise ValueError(f"unknown smoothing {smoothing!r}")
-    correct = [0] * MAX_ORDER
-    total = [0] * MAX_ORDER
-    _segment_stats(hyp, refs, correct, total)
-    return _score_from_stats(correct, total, len(hyp), _closest_ref_len(len(hyp), refs), smoothing)
+    stats = segment_stats(hyp, refs)
+    return _score_from_stats(stats.correct, stats.total, stats.hyp_len, stats.ref_len, smoothing)

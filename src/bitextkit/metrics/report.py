@@ -7,10 +7,11 @@ from typing import Optional, Sequence
 
 from ..corpus_io import read_lines
 from ..exceptions import EmptyCorpus, LineCountMismatch
-from ..tokenizer import resolve_rules, tokenize_lines
-from .bleu import BleuScore, bleu_corpus
-from .ribes import DEFAULT_ALPHA, DEFAULT_BETA, RibesScore, ribes_corpus
-from .ter import DEFAULT_MAX_SHIFT_SIZE, TerScore, ter_corpus
+from ..tokenizer import TokenizerRules, resolve_rules, tokenize_lines
+from .bleu import BleuFold, BleuScore, BleuStats, segment_stats
+from .ribes import DEFAULT_ALPHA, DEFAULT_BETA, RibesFold, RibesScore, ribes
+from .segments import fold_segments
+from .ter import DEFAULT_MAX_SHIFT_SIZE, TerFold, TerScore, ter
 
 
 @dataclass(frozen=True)
@@ -54,16 +55,44 @@ class MetricReport:
         return f"BLEU {self.bleu.bleu:.2f}  RIBES {self.ribes.ribes:.2f}  TER {self.ter.ter:.2f}"
 
 
+@dataclass(frozen=True)
+class SegmentRecord:
+    """One segment's statistics for all three corpus scores: BLEU's counts
+    and lengths, its best RIBES score, and its best TER edits with the
+    average reference length."""
+
+    bleu: BleuStats
+    ribes: RibesScore
+    ter: TerScore
+
+
+def score_segment(hyp: Sequence[str], refs: Sequence[Sequence[str]]) -> SegmentRecord:
+    """The record of one tokenized segment against its references."""
+    return SegmentRecord(segment_stats(hyp, refs), ribes(hyp, refs), ter(hyp, refs))
+
+
+class ScoreFold:
+    """All three corpus scores as one fold: ``add`` each segment's record
+    in segment order, then read ``report()``."""
+
+    def __init__(self):
+        self.bleu, self.ribes, self.ter = BleuFold(), RibesFold(), TerFold()
+
+    def add(self, record: SegmentRecord) -> None:
+        self.bleu.add(record.bleu)
+        self.ribes.add(record.ribes)
+        self.ter.add(record.ter)
+
+    def report(self) -> MetricReport:
+        return MetricReport(bleu=self.bleu.score(), ribes=self.ribes.score(), ter=self.ter.score())
+
+
 def score_corpus(
     hypotheses: Sequence[Sequence[str]],
     references: Sequence[Sequence[Sequence[str]]],
 ) -> MetricReport:
     """Score pre-tokenized segments (``references[i]`` is a list of refs)."""
-    return MetricReport(
-        bleu=bleu_corpus(hypotheses, references),
-        ribes=ribes_corpus(hypotheses, references),
-        ter=ter_corpus(hypotheses, references),
-    )
+    return fold_segments(ScoreFold(), score_segment, hypotheses, references).report()
 
 
 def read_references(hyp_lines: Sequence[str], hyp_path, ref_paths) -> list:
@@ -79,9 +108,21 @@ def read_references(hyp_lines: Sequence[str], hyp_path, ref_paths) -> list:
     return ref_corpora
 
 
-def score_lines(hyp_lines: Sequence[str], ref_corpora: list, split, lowercase: bool, tokens: Optional[list] = None) -> MetricReport:
-    """Score ``hyp_lines`` against the line-aligned ``ref_corpora``; ``split``
-    turns a list of lines into their token lists.
+def _split_lines(lines: Sequence[str], rules: Optional[TokenizerRules]) -> list:
+    """Each line's tokens: by the tokenizer ``rules``, or split on
+    whitespace when ``rules`` is None."""
+    return tokenize_lines(lines, rules) if rules is not None else [line.split() for line in lines]
+
+
+def score_chunk(
+    hyp_lines: Sequence[str],
+    ref_corpora: list,
+    rules: Optional[TokenizerRules],
+    lowercase: bool,
+    tokens: Optional[list] = None,
+) -> list:
+    """The ``SegmentRecord`` of each of ``hyp_lines`` against the
+    line-aligned ``ref_corpora``, the lines split by ``_split_lines``.
 
     ``lowercase`` folds case before splitting, never after: the tokenizer
     reads case, so it splits "casa. Luego" but not "casa. luego". Otherwise
@@ -89,8 +130,11 @@ def score_lines(hyp_lines: Sequence[str], ref_corpora: list, split, lowercase: b
     are scored when given.
     """
     if lowercase or tokens is None:
-        tokens = [split([line.lower() for line in lines] if lowercase else lines) for lines in (hyp_lines, *ref_corpora)]
-    return score_corpus(tokens[0], [[ref[i] for ref in tokens[1:]] for i in range(len(tokens[0]))])
+        tokens = [
+            _split_lines([line.lower() for line in lines] if lowercase else lines, rules) for lines in (hyp_lines, *ref_corpora)
+        ]
+    hyps, *refs = tokens
+    return [score_segment(hyp, [ref[i] for ref in refs]) for i, hyp in enumerate(hyps)]
 
 
 def score_report(
@@ -111,9 +155,7 @@ def score_report(
         ref_paths = [ref_paths]
     hyp_lines = read_lines(hyp_path)
     ref_corpora = read_references(hyp_lines, hyp_path, ref_paths)
-    if tokenized_input:
-        split = lambda lines: [line.split() for line in lines]  # noqa: E731
-    else:
-        rules = resolve_rules(lang)
-        split = lambda lines: tokenize_lines(lines, rules)  # noqa: E731
-    return score_lines(hyp_lines, ref_corpora, split, lowercase)
+    fold = ScoreFold()
+    for record in score_chunk(hyp_lines, ref_corpora, None if tokenized_input else resolve_rules(lang), lowercase):
+        fold.add(record)
+    return fold.report()

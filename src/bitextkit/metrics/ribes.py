@@ -19,8 +19,8 @@ from bisect import bisect_left, insort
 from dataclasses import dataclass
 from typing import Sequence
 
-from ..exceptions import EmptyCorpus, LineCountMismatch
 from .ngrams import ngram_positions
+from .segments import fold_segments
 
 DEFAULT_ALPHA = 0.25
 DEFAULT_BETA = 0.10
@@ -130,6 +130,24 @@ def ribes(hyp: Tokens, refs: Sequence[Tokens]) -> RibesScore:
     return best
 
 
+class RibesFold:
+    """Corpus RIBES as a fold: ``add`` each segment's best ``RibesScore``,
+    then read ``score()``. The four floats of every segment are kept, so
+    that each mean is one ``sum()`` over the segments in order, whose
+    rounding differs from a running total's on Python 3.12+."""
+
+    def __init__(self):
+        self.columns: tuple = ([], [], [], [])
+
+    def add(self, score: RibesScore) -> None:
+        for column, value in zip(self.columns, (score.ribes, score.nkt, score.unigram_precision, score.bp)):
+            column.append(value)
+
+    def score(self) -> RibesScore:
+        n = len(self.columns[0])
+        return RibesScore(*(sum(column) / n for column in self.columns))
+
+
 def ribes_corpus(hypotheses: Sequence[Tokens], references: Sequence[Sequence[Tokens]]) -> RibesScore:
     """Corpus RIBES: the mean over segments of the per-segment best score,
     weighted by ``DEFAULT_ALPHA`` and ``DEFAULT_BETA``.
@@ -137,15 +155,4 @@ def ribes_corpus(hypotheses: Sequence[Tokens], references: Sequence[Sequence[Tok
     The nkt / precision / bp fields of the result are the corresponding
     per-segment means, reported for diagnostics.
     """
-    if len(hypotheses) != len(references):
-        raise LineCountMismatch(len(hypotheses), len(references), context="hypotheses / references")
-    if not hypotheses:
-        raise EmptyCorpus("cannot score an empty corpus")
-    scores = [ribes(h, r) for h, r in zip(hypotheses, references)]
-    n = len(scores)
-    return RibesScore(
-        ribes=sum(s.ribes for s in scores) / n,
-        nkt=sum(s.nkt for s in scores) / n,
-        unigram_precision=sum(s.unigram_precision for s in scores) / n,
-        bp=sum(s.bp for s in scores) / n,
-    )
+    return fold_segments(RibesFold(), ribes, hypotheses, references).score()

@@ -45,8 +45,8 @@ from operator import attrgetter
 from typing import Iterator, Sequence
 
 from ..editdist import advance, edit_state
-from ..exceptions import EmptyCorpus, LineCountMismatch
 from .ngrams import ngram_positions
+from .segments import fold_segments
 
 DEFAULT_MAX_SHIFT_SIZE = 10
 
@@ -298,20 +298,27 @@ def ter(hyp: Tokens, refs: Sequence[Tokens], shifts: bool = True) -> TerScore:
     return TerScore(best.total / (ref_len if ref_len > 0 else 1.0), best, ref_len)
 
 
+class TerFold:
+    """Corpus TER as a fold: ``add`` each segment's ``TerScore``, then read
+    ``score()``, the summed edits over the summed average reference
+    lengths. The lengths are added in segment order."""
+
+    def __init__(self):
+        self.ins = self.dels = self.subs = self.shifts = 0
+        self.ref_len = 0.0
+
+    def add(self, segment: TerScore) -> None:
+        self.ins += segment.edits.insertions
+        self.dels += segment.edits.deletions
+        self.subs += segment.edits.substitutions
+        self.shifts += segment.edits.shifts
+        self.ref_len += segment.ref_len
+
+    def score(self) -> TerScore:
+        counts = EditCounts(self.ins, self.dels, self.subs, self.shifts)
+        return TerScore(counts.total / (self.ref_len if self.ref_len > 0 else 1.0), counts, self.ref_len)
+
+
 def ter_corpus(hypotheses: Sequence[Tokens], references: Sequence[Sequence[Tokens]]) -> TerScore:
     """Corpus TER: summed edits over summed average reference lengths."""
-    if len(hypotheses) != len(references):
-        raise LineCountMismatch(len(hypotheses), len(references), context="hypotheses / references")
-    if not hypotheses:
-        raise EmptyCorpus("cannot score an empty corpus")
-    ins = dels = subs = n_shifts = 0
-    ref_len = 0.0
-    for hyp, refs in zip(hypotheses, references):
-        segment = ter(hyp, refs)
-        ins += segment.edits.insertions
-        dels += segment.edits.deletions
-        subs += segment.edits.substitutions
-        n_shifts += segment.edits.shifts
-        ref_len += segment.ref_len
-    counts = EditCounts(ins, dels, subs, n_shifts)
-    return TerScore(counts.total / (ref_len if ref_len > 0 else 1.0), counts, ref_len)
+    return fold_segments(TerFold(), ter, hypotheses, references).score()

@@ -10,12 +10,20 @@ a few chunks, the word types the statistics count and the langid model,
 never the corpus: with one worker its peak RSS was 40.1 MB at 16,000 pairs
 and 40.5 MB at 96,000 (48.8 and 99.1 MB when prep held the corpus whole;
 2 vCPU, Python 3.11). The ``eval`` task runs detokenize -> score ->
-cognates over system output, reading each input once and tokenizing each
-line once: score and cognates share the lines and token lists. Every
-stage writes a JSON report stamped by ``with_provenance``
-(tool version, effective config), as do the CLI subcommands, which run the
-same stage bodies; a manifest records stage order and input/output hashes.
-Every artifact is replaced whole, so a failed stage leaves none half-written.
+cognates over system output in one streaming pass too: it reads the
+system output, references and sources in lockstep, 128 segments at a time,
+and maps ``evaluation.eval_chunk`` over the chunks with ``workers``; each
+chunk's lines are tokenized once and shared by scoring and cognates. The
+parent writes the detokenized lines as they come and folds each segment's
+scoring record and each chunk's cognate counts in segment order, so it
+holds a few chunks and four floats per segment (RIBES's, summed at the
+end), never the segments. With one worker its peak RSS was 23.9, 24.1 and
+24.4 MB at 500, 1,000 and 3,000 segments of ``eval-light``-shaped input
+(24.4, 25.9 and 32.1 MB when eval held every segment). Every stage writes
+a JSON report stamped by ``with_provenance`` (tool version, effective
+config), as do the CLI subcommands, which run the same stage bodies; a
+manifest records stage order and input/output hashes. Every artifact is
+replaced whole, so a failed stage leaves none half-written.
 """
 
 from __future__ import annotations
@@ -31,7 +39,7 @@ from typing import Callable, Iterable, Optional
 
 from . import __version__
 from .cleaner import _CHUNK_PAIRS, MODES, CleaningReport, clean_chunks
-from .cognates import CognateReport, count_examined, extract_cognates, preservation
+from .cognates import CognateReport
 from .corpus_io import (
     SentencePair,
     StatsFold,
@@ -42,10 +50,12 @@ from .corpus_io import (
     read_lines,
     read_parallel,
 )
-from .exceptions import BitextError, LineCountMismatch
+from .evaluation import EvalChunks, EvalSettings, eval_chunk
+from .exceptions import BitextError, EmptyCorpus, LineCountMismatch
 from .langid import load_model
-from .metrics.report import read_references, score_lines
-from .tokenizer import detokenize, resolve_rules, tokenize_lines, tokenize_stream
+from .metrics.report import ScoreFold
+from .parallel import parallel_map
+from .tokenizer import resolve_rules, tokenize_lines
 
 ENV_PREFIX = "BITEXTKIT_"
 
@@ -329,25 +339,6 @@ def clean_and_write(
     return report.to_dict(include_decisions=include_decisions), removed
 
 
-def cognate_report(
-    pairs: list, system_tokens: Optional[list], threshold: float, min_len: int, workers: int
-) -> tuple[list, dict]:
-    """Cognates between the two sides of tokenized ``pairs``, and the report
-    body.
-
-    With ``system_tokens`` (one token list per pair) the body measures how
-    many cognates the system output preserves; without, its ``preserved``
-    and ``preservation_rate`` are None.
-    """
-    found = extract_cognates(pairs, threshold=threshold, min_len=min_len, workers=workers)
-    examined = count_examined(pairs, min_len)
-    if system_tokens is None:
-        report = CognateReport.of(examined, len(found), threshold)
-    else:
-        report = preservation(found, system_tokens, threshold=threshold, examined=examined)
-    return found, report.to_dict()
-
-
 def _run_prep(config: PipelineConfig, out: Path, manifest: _Manifest) -> None:
     # One pass over the corpus. As it is read, each chunk of pairs is folded
     # into stats_before; as the cleaner decides it, its kept pairs are
@@ -423,37 +414,65 @@ def _run_prep(config: PipelineConfig, out: Path, manifest: _Manifest) -> None:
 
 
 def _run_eval(config: PipelineConfig, out: Path, manifest: _Manifest) -> None:
+    # One pass over the segments. Each chunk's system lines are detokenized,
+    # its segments scored and its cognates found in one eval_chunk call,
+    # mapped over the workers; the parent writes the detokenized lines as
+    # they come and folds the rest in segment order, so a few chunks are in
+    # memory at a time. A failure is reported by the stage that would have
+    # failed first had the stages run in turn: a reference or source that
+    # fails to read or has another line count fails score or cognates only
+    # once the stages before it are recorded.
     rules = resolve_rules(config.lang, config.src_lang)
+    settings = EvalSettings(
+        rules,
+        resolve_rules(config.src_lang, config.lang),
+        config.src_lang,
+        config.lang,
+        config.lowercase,
+        config.cognate_threshold,
+        config.cognate_min_len,
+    )
+    chunks = EvalChunks(config.hyp, config.ref, config.source, settings)
+    scores = ScoreFold()
+    lines = examined = found = preserved = 0
+
+    def evaluated():
+        # a generator, so that it has close() even where parallel_map is
+        # replaced by a wrapper that returns a list (the benchmark's tracer)
+        yield from parallel_map(eval_chunk, chunks, workers=config.workers)
 
     detok_path = out / "detokenized.hyp"
     with _stage("detokenize"):
-        system = [detokenize(line.split(), rules) for line in read_lines(config.hyp)]
-        with atomic_write(detok_path) as (fh,):
-            fh.writelines(line + "\n" for line in system)
-        report_path = _write_report(out / "detokenize_report.json", config, {"lines": len(system), "rules": rules.lang})
+        # closed on an error too, so that a worker pool ends with the pass
+        with atomic_write(detok_path) as (fh,), closing(evaluated()) as results:
+            for system, records, counts in results:
+                fh.writelines(line + "\n" for line in system)
+                lines += len(system)
+                for record in records or ():
+                    scores.add(record)
+                if counts is not None:
+                    examined, found, preserved = examined + counts[0], found + counts[1], preserved + counts[2]
+        report_path = _write_report(out / "detokenize_report.json", config, {"lines": lines, "rules": rules.lang})
         manifest.record("detokenize", [config.hyp], [detok_path, report_path])
 
-    split = lambda lines: tokenize_lines(lines, rules)  # noqa: E731
     with _stage("score"):
-        [references] = read_references(system, detok_path, [config.ref])
-        system_tokens = split(system)
-        ref_tokens = split(references)
-        report = score_lines(system, [references], split, config.lowercase, [system_tokens, ref_tokens])
-        del system, references
-        report_path = _write_report(out / "score.json", config, report.to_dict())
+        refs = chunks.refs
+        if refs.error is not None:
+            raise refs.error
+        if refs.count != lines:
+            raise LineCountMismatch(lines, refs.count, context=f"{detok_path} / {config.ref}")
+        if not lines:
+            raise EmptyCorpus(f"{detok_path} is empty")
+        report_path = _write_report(out / "score.json", config, scores.report().to_dict())
         manifest.record("score", [detok_path, config.ref], [report_path])
 
     with _stage("cognates"):
-        sources = read_lines(config.source)
-        if len(sources) != len(ref_tokens):
-            raise LineCountMismatch(len(sources), len(ref_tokens), context=f"{config.source} / {config.ref}")
-        src_rules = resolve_rules(config.src_lang, config.lang)
-        pairs = [
-            SentencePair(i, " ".join(source), " ".join(ref), config.src_lang, config.lang)
-            for i, (source, ref) in enumerate(zip(tokenize_stream(sources, src_rules), ref_tokens))
-        ]
-        del sources, ref_tokens
-        _, body = cognate_report(pairs, system_tokens, config.cognate_threshold, config.cognate_min_len, config.workers)
+        sources = chunks.sources
+        if sources.error is not None:
+            raise sources.error
+        if sources.count != lines:
+            raise LineCountMismatch(sources.count, lines, context=f"{config.source} / {config.ref}")
+        body = CognateReport.of(examined, found, config.cognate_threshold, preserved).to_dict()
         report_path = _write_report(out / "cognates.json", config, body)
         manifest.record("cognates", [config.source, config.ref, detok_path], [report_path])
 

@@ -21,6 +21,7 @@ from bitextkit.cognates import (
     preservation,
 )
 from bitextkit.corpus_io import corpus_stats
+from bitextkit.evaluation import cognate_report
 from bitextkit.langid import classify, train
 from bitextkit.metrics import bleu_corpus, bleu_sentence, ribes, score_corpus, ter
 from bitextkit.tokenizer import detokenize, resolve_rules, tokenize
@@ -276,7 +277,7 @@ def test_criterion_09_cognate_preservation(data_dir):
 
         # determinism across runs and worker counts
         assert extract_cognates(pairs) == cognates
-        assert extract_cognates(pairs, workers=4) == cognates
+        assert cognate_report(pairs, None, 0.3, 4, 4)[0] == cognates
 
 
 def test_criterion_10_throughput_and_worker_invariance(fixture_model):

@@ -6,6 +6,7 @@ from hypothesis import find, given, settings
 from hypothesis import strategies as st
 
 from bitextkit import cognates as cognates_module
+from bitextkit import evaluation
 from bitextkit.cognates import (
     _WordTable,
     _within,
@@ -16,6 +17,7 @@ from bitextkit.cognates import (
 )
 from bitextkit.corpus_io import SentencePair
 from bitextkit.editdist import advance, edit_state, levenshtein
+from bitextkit.evaluation import cognate_report
 from bitextkit.exceptions import IndexMismatch
 
 from oracles import cognates_per_pair, edit_distance_matrix, levenshtein_recursive, preservation_per_token
@@ -166,7 +168,7 @@ class TestExtractCognates:
         pairs = [_pair(i, s, t) for i, (s, t) in enumerate(rows)]
         first = extract_cognates(pairs)
         again = extract_cognates(pairs)
-        parallel = extract_cognates(pairs, workers=4)
+        parallel, _ = cognate_report(pairs, None, 0.3, 4, 4)
         assert first == again == parallel
         assert len(first) > 100
 
@@ -205,6 +207,37 @@ class TestPreservation:
         (cog,) = extract_cognates(pairs)
         with pytest.raises(IndexMismatch):
             preservation([cog], [], examined=1)
+
+    @pytest.mark.parametrize("threshold", [-0.1, 0.0, 0.1, 0.25, 0.3, 0.5, 1.0, 1.5])
+    def test_a_form_in_the_sentence_is_preserved_as_the_full_scan_finds(self, threshold):
+        """A target whose normalized form the system sentence has skips the
+        search; against the scan of every token it gives the same report
+        for exact, case, NFC/NFD, near-miss and far variants."""
+        from bitextkit.cognates import CognatePair
+
+        words = ["contribución", "Biblioteca", "ÑANDÚ", "ação", "straße", "gat", unicodedata.normalize("NFD", "acció")]
+        variants = [
+            lambda w: w,
+            str.upper,
+            str.lower,
+            lambda w: unicodedata.normalize("NFD", w),
+            lambda w: unicodedata.normalize("NFC", w).swapcase(),
+            lambda w: w[:-1] + ("x" if w[-1] != "x" else "y"),  # one substitution
+            lambda w: w + "s",  # one insertion
+            lambda w: w[::-1],
+        ]
+        cognates, system = [], []
+        for word in words:
+            for variant in variants:
+                index = len(system)
+                system.append(["de", variant(word), "la"])
+                # two cognates of one sentence, the second also checked against a far token
+                cognates.append(CognatePair(word, word, 0, 0.0, index, 1, 1))
+                cognates.append(CognatePair(word, word[::-1] + "q", 0, 0.0, index, 2, 2))
+        random.Random(3).shuffle(cognates)  # sentences out of order too
+        got = preservation(cognates, system, threshold, examined=len(cognates))
+        assert got == preservation_per_token(cognates, system, threshold, len(cognates))
+        assert (got.preserved > 0) == (threshold >= 0)
 
     def test_examined_controls_cognate_rate(self):
         pairs = [_pair(0, "contribució curta", "contribución corta")]
@@ -349,19 +382,25 @@ class TestPrunedSearchEqualsOracle:
 
 
 class TestWorkersAndChunks:
+    """``cognate_report`` maps extraction over chunks of pairs; neither the
+    worker count nor the chunk size may change what it finds."""
+
     def test_workers_give_identical_results_over_several_chunks(self):
         pairs = RANDOM_PAIRS[:333]  # two full chunks of 128 and a ragged one
-        assert len(pairs) > 2 * cognates_module._CHUNK_PAIRS
+        assert len(pairs) > 2 * evaluation.EVAL_CHUNK
         one = extract_cognates(pairs, threshold=1 / 3, min_len=4)
         assert one == cognates_per_pair(pairs, 1 / 3, 4)
-        for workers in (2, 4):
-            assert extract_cognates(pairs, threshold=1 / 3, min_len=4, workers=workers) == one
+        for workers in (1, 2, 4):
+            assert cognate_report(pairs, None, 1 / 3, 4, workers)[0] == one
 
     @pytest.mark.parametrize("chunk_pairs", [1, 7, 128, 5000])
     def test_chunk_size_does_not_change_results(self, monkeypatch, chunk_pairs):
         pairs = RANDOM_PAIRS[:400]
-        monkeypatch.setattr(cognates_module, "_CHUNK_PAIRS", chunk_pairs)
-        assert extract_cognates(pairs, threshold=0.5, min_len=1) == cognates_per_pair(pairs, 0.5, 1)
+        monkeypatch.setattr(evaluation, "EVAL_CHUNK", chunk_pairs)
+        found, body = cognate_report(pairs, None, 0.5, 1, 1)
+        assert found == cognates_per_pair(pairs, 0.5, 1)
+        assert body["cognate_pairs"] == len(found)
+        assert body["pairs_examined"] == count_examined(pairs, 1)
 
 
 _ANY_WORD = st.text(

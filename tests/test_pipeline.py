@@ -9,10 +9,10 @@ from bitextkit import corpus_io, tokenizer
 from bitextkit.cli import cli
 from bitextkit.langid import save_model
 from bitextkit.corpus_io import SentencePair
+from bitextkit.evaluation import cognate_report
 from bitextkit.pipeline import (
     ConfigParseError,
     StageFailure,
-    cognate_report,
     dump_json,
     parse_config_file,
     run_pipeline,
@@ -403,13 +403,14 @@ def _record_calls(monkeypatch, original, calls: list) -> None:
 
 
 def test_eval_reads_each_input_once_and_tokenizes_each_line_once(tmp_path, monkeypatch):
+    # eval streams its inputs through decode_lines, one stream per file
     hyp = [" ".join(tokenizer.tokenize(line, tokenizer.resolve_rules("ca"))) for line in PROSE_CA]
     config = _eval_config(tmp_path, PROSE_ES, PROSE_CA, hyp)
     reads, tokenized = [], []
-    _record_calls(monkeypatch, corpus_io.read_lines, reads)
+    _record_calls(monkeypatch, corpus_io.decode_lines, reads)
     _record_calls(monkeypatch, tokenizer.tokenize_lines, tokenized)
     run_pipeline(config)
-    assert sorted(map(str, reads)) == sorted([config.source, config.ref, config.hyp])
+    assert sorted(stream.name for stream in reads) == sorted([config.source, config.ref, config.hyp])
     detok = (tmp_path / "out" / "detokenized.hyp").read_text(encoding="utf-8").splitlines()
     assert detok == PROSE_CA
     assert Counter(line for lines in tokenized for line in lines) == Counter(PROSE_ES + PROSE_CA + detok)
@@ -493,3 +494,83 @@ def test_cognate_report_bodies_share_keys_and_rate_rule():
     )
     _, empty = cognate_report([], None, 0.3, 4, 1)
     assert empty == {**without, "pairs_examined": 0, "cognate_pairs": 0, "cognate_rate": 0.0}
+
+
+def _lines(text: str, count: int) -> bytes:
+    return "".join(f"{text} {i}\n" for i in range(count)).encode("utf-8")
+
+
+def _first(data: bytes, count: int) -> bytes:
+    return b"".join(data.splitlines(keepends=True)[:count])
+
+
+# 200 segments are two chunks of the eval pass; each case reads past the first
+_HYP, _REF, _SRC = (_lines(text, 200) for text in ("el gat negre dorm", "el gat negre dorm", "el gato negro duerme"))
+_BAD_LAST_LINE = b"\xff casa\n"
+
+
+@pytest.mark.parametrize(
+    "source, ref, hyp, stage, detail, survivors",
+    [
+        (_SRC, _REF, _first(_HYP, 150), "score", "{detok} / {ref}: line counts differ: 150 vs 200", 2),
+        (_SRC, _first(_REF, 150), _HYP, "score", "{detok} / {ref}: line counts differ: 200 vs 150", 2),
+        (_first(_SRC, 150), _REF, _HYP, "cognates", "{source} / {ref}: line counts differ: 150 vs 200", 3),
+        (_SRC + _lines("la casa", 50), _REF, _HYP, "cognates", "{source} / {ref}: line counts differ: 250 vs 200", 3),
+        (_SRC, _REF, _HYP + _BAD_LAST_LINE, "detokenize", "{hyp}: invalid UTF-8 at byte offset {hyp_bytes} (invalid start byte)", 0),
+        (_SRC, _REF + _BAD_LAST_LINE, _HYP, "score", "{ref}: invalid UTF-8 at byte offset {ref_bytes} (invalid start byte)", 2),
+        (_SRC + _BAD_LAST_LINE, _REF, _HYP, "cognates", "{source}: invalid UTF-8 at byte offset {source_bytes} (invalid start byte)", 3),
+        (_SRC, _REF, b"", "score", "{detok} / {ref}: line counts differ: 0 vs 200", 2),
+        (b"", b"", b"", "score", "{detok} is empty", 2),
+        # the stage that would fail first is reported, not the input that fails first
+        (_SRC, _first(_REF, 100), _HYP + _BAD_LAST_LINE, "detokenize", "{hyp}: invalid UTF-8 at byte offset {hyp_bytes} (invalid start byte)", 0),
+        (_first(_SRC, 100), _REF + _BAD_LAST_LINE, _HYP, "score", "{ref}: invalid UTF-8 at byte offset {ref_bytes} (invalid start byte)", 2),
+    ],
+    ids=[
+        "hyp-shorter", "hyp-longer", "source-shorter", "source-longer", "hyp-invalid-utf8", "ref-invalid-utf8",
+        "source-invalid-utf8", "hyp-empty", "all-empty", "hyp-invalid-before-short-ref", "ref-invalid-before-short-source",
+    ],
+)
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_streamed_eval_fails_the_stage_that_would_fail_first(tmp_path, source, ref, hyp, stage, detail, survivors, workers):
+    """Eval reads its inputs in one pass, a chunk at a time; a failure is
+    still that of the first stage to fail had detokenize, score and
+    cognates each read their inputs whole in turn, with the same artifacts
+    left behind."""
+    paths = {"source": tmp_path / "src.es", "ref": tmp_path / "ref.ca", "hyp": tmp_path / "hyp.ca"}
+    out = tmp_path / "out"
+    for key, data in (("source", _SRC), ("ref", ref), ("hyp", hyp)):
+        paths[key].write_bytes(data)
+    overrides = {"task": "eval", "src_lang": "es", "tgt_lang": "ca", "out_dir": out, "workers": workers, **paths}
+    config, errors = validate_config(overrides=overrides, env={})
+    assert errors == []
+    complete = {}
+    if stage == "cognates":
+        # the artifacts of a run whose sources are fine
+        run_pipeline(config)
+        complete = {name: (out / name).read_bytes() for name in ("detokenized.hyp", "score.json")}
+        for path in out.iterdir():
+            path.unlink()
+    for key, data in (("source", source), ("ref", ref), ("hyp", hyp)):
+        paths[key].write_bytes(data)
+
+    with pytest.raises(StageFailure) as failure:
+        run_pipeline(config)
+    message = detail.format(
+        detok=out / "detokenized.hyp", hyp_bytes=len(_HYP), ref_bytes=len(_REF), source_bytes=len(_SRC), **paths
+    )
+    assert str(failure.value) == f"stage {stage!r} failed: {message}"
+    manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+    stages = ["detokenize", "score", "cognates"]
+    done = stages[: stages.index(stage)]
+    assert manifest["failed_stage"] == stage
+    assert [(s["name"], s["status"]) for s in manifest["stages"]] == [(name, "ok") for name in done] + [(stage, "failed")]
+    assert manifest["stages"][-1]["error"] == message
+    artifacts = ["detokenized.hyp", "detokenize_report.json", "score.json"][:survivors]
+    assert sorted(path.name for path in out.iterdir()) == sorted(artifacts + ["manifest.json"])
+    if done:
+        # the whole hypothesis was detokenized and committed before score ran
+        detok = (out / "detokenized.hyp").read_text(encoding="utf-8").splitlines()
+        assert len(detok) == hyp.count(b"\n")
+        assert json.loads((out / "detokenize_report.json").read_text(encoding="utf-8"))["lines"] == len(detok)
+    for name, data in complete.items():
+        assert (out / name).read_bytes() == data, name

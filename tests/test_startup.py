@@ -2,7 +2,8 @@
 
 numpy is imported only inside the langid functions that build arrays, and
 multiprocessing only where a pool runs, so the eval commands (scoring,
-cognates, tokenization, stats and the eval pipeline) never pay for either.
+cognates, tokenization, stats and the eval pipeline, over one chunk of
+segments or many) never pay for either.
 Each check runs in a fresh interpreter against the source tree; ``clean``
 and ``langid-classify`` do load numpy, which shows the check can see an
 import. The pool tests count the processes ``parallel_map`` asks for.
@@ -18,10 +19,11 @@ from pathlib import Path
 import pytest
 
 from bitextkit.cleaner import clean
-from bitextkit.cognates import extract_cognates
 from bitextkit.corpus_io import SentencePair
+from bitextkit.evaluation import cognate_report
 from bitextkit.langid import save_model
 from bitextkit.parallel import parallel_map
+from bitextkit.pipeline import run_pipeline, validate_config
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -34,7 +36,7 @@ try:
     bitextkit.cli.main()
 except SystemExit as exc:
     code = exc.code
-print(json.dumps({"code": code, "numpy": "numpy" in sys.modules}))
+print(json.dumps({"code": code, "numpy": "numpy" in sys.modules, "multiprocessing": "multiprocessing" in sys.modules}))
 """
 
 ES = ["El comité aprobó la propuesta por unanimidad .", "La biblioteca cierra a mediodía los sábados ."]
@@ -94,6 +96,22 @@ def test_eval_commands_never_load_numpy(command, corpus, tmp_path):
     assert _main(args)["numpy"] is False
 
 
+def _eval_config(tmp_path, segments: int, workers: int) -> Path:
+    """An eval config over ``segments`` lines of each input."""
+    paths = {"source": tmp_path / "long.es", "ref": tmp_path / "long.ca", "hyp": tmp_path / "long.hyp"}
+    for key, lines in (("source", ES), ("ref", CA), ("hyp", CA)):
+        paths[key].write_text("".join(lines[i % 2] + "\n" for i in range(segments)), encoding="utf-8")
+    config = tmp_path / "long.cfg"
+    values = {"task": "eval", "src_lang": "es", "tgt_lang": "ca", **paths, "workers": workers, "out_dir": tmp_path / "long"}
+    config.write_text("".join(f"{k} = {v}\n" for k, v in values.items()), encoding="utf-8")
+    return config
+
+
+def test_eval_pipeline_over_several_chunks_with_one_worker_loads_neither(tmp_path):
+    loaded = _main(["pipeline", "--config", _eval_config(tmp_path, 300, 1)])
+    assert loaded["numpy"] is False and loaded["multiprocessing"] is False
+
+
 @pytest.mark.parametrize("command", ["clean", "langid-classify"])
 def test_model_commands_load_numpy(command, corpus, tmp_path, fixture_model):
     model = tmp_path / "m.lidm"
@@ -143,7 +161,7 @@ def test_pool_starts_one_process_per_item_at_most(started):
 
 def test_cognates_and_clean_start_only_the_processes_their_chunks_use(started, fixture_model):
     pairs = [SentencePair(i, ES[i % 2], CA[i % 2], "es", "ca") for i in range(300)]
-    assert extract_cognates(pairs, workers=4) == extract_cognates(pairs, workers=1)
+    assert cognate_report(pairs, None, 0.3, 4, 4) == cognate_report(pairs, None, 0.3, 4, 1)
     assert started == [3]  # 300 pairs are 3 chunks of 128
 
     started.clear()
@@ -151,4 +169,17 @@ def test_cognates_and_clean_start_only_the_processes_their_chunks_use(started, f
     pooled = clean(two_chunks, fixture_model, mode="both", workers=8, keep_decisions=True)
     single = clean(two_chunks, fixture_model, mode="both", workers=1, keep_decisions=True)
     assert pooled.report.decisions == single.report.decisions
+    assert started == [2]
+
+
+def test_eval_pipeline_starts_one_process_per_chunk_at_most(started, tmp_path):
+    # 129 segments are two chunks of the eval pass; extraction inside a
+    # chunk maps in its process
+    config, errors = validate_config(_eval_config(tmp_path, 129, 2), env={})
+    assert errors == []
+    run_pipeline(config)
+    assert started == [2]
+    started.clear()
+    config.workers = 4
+    run_pipeline(config)
     assert started == [2]
