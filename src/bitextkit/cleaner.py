@@ -64,13 +64,13 @@ class CleaningReport:
     removed_by_reason: dict
     decisions: Optional[list] = field(default=None)
 
-    def to_dict(self, include_decisions: bool = False) -> dict:
+    def to_dict(self) -> dict:
         payload = {
             "total": self.total,
             "kept": self.kept,
             "removed_by_reason": dict(self.removed_by_reason),
         }
-        if include_decisions and self.decisions is not None:
+        if self.decisions is not None:
             payload["decisions"] = [d.to_dict() for d in self.decisions]
         return payload
 

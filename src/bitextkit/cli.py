@@ -147,7 +147,7 @@ def clean_cmd(src_path, tgt_path, src_lang, tgt_lang, model_path, mode, out_pref
     pairs = read_parallel(src_path, tgt_path, src_lang, tgt_lang)
     body, removed = clean_and_write(
         pairs, count_lines(src_path), None if no_clean else model_path, mode, workers, out_src, out_tgt,
-        audit=bool(audit), include_decisions=full_report,
+        audit=bool(audit), keep_decisions=full_report,
     )
     if audit and not no_clean:
         click.echo(audit_table(*removed, fmt=audit), err=True)

@@ -77,8 +77,6 @@ class EvalSettings:
 
     rules: TokenizerRules
     src_rules: TokenizerRules
-    src_lang: str
-    lang: str
     lowercase: bool
     threshold: float
     min_len: int
@@ -104,7 +102,7 @@ def eval_chunk(job: tuple) -> tuple:
     if sources is None:
         return system, records, None
     pairs = [
-        SentencePair(i, " ".join(source), " ".join(ref), settings.src_lang, settings.lang)
+        SentencePair(i, " ".join(source), " ".join(ref), "src", "ref")
         for i, (source, ref) in enumerate(zip(tokenize_lines(sources, settings.src_rules), ref_tokens))
     ]
     del ref_tokens  # the pairs hold the reference text now; dropping the lists lowers the peak

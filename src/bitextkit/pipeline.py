@@ -32,7 +32,7 @@ import hashlib
 import json
 import os
 import time
-from contextlib import closing, contextmanager, nullcontext
+from contextlib import closing, contextmanager
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Callable, Iterable, Optional
@@ -83,11 +83,9 @@ class PipelineConfig:
     model: str = ""
     clean_enabled: bool = True
     clean_mode: str = "both"
-    tokenize_output: bool = True
     # eval inputs
     hyp: str = ""
     ref: str = ""
-    lang: str = ""
     lowercase: bool = False
     cognate_threshold: float = 0.3
     cognate_min_len: int = 4
@@ -201,9 +199,6 @@ def validate_config(
     for key, p in required_paths:
         if not Path(p).is_file():
             errors.append(f"{key}: no such file: {p}")
-
-    if not config.lang:
-        config.lang = config.tgt_lang
     return (None, errors) if errors else (config, [])
 
 
@@ -297,7 +292,7 @@ def clean_and_write(
     out_src,
     out_tgt,
     audit: bool = False,
-    include_decisions: bool = False,
+    keep_decisions: bool = False,
     each_kept: Optional[Callable[[list], None]] = None,
 ) -> tuple[dict, tuple[list, list]]:
     """Clean ``pairs`` with the langid model at ``model_path`` a chunk at a
@@ -309,13 +304,13 @@ def clean_and_write(
     ``each_kept``, when given, is called with each chunk's kept pairs once
     they are written. Returns the cleaning report body and the removed
     pairs' decisions and pairs, which are collected only for ``audit``;
-    ``include_decisions`` puts every decision in the body.
+    ``keep_decisions`` puts every decision in the body.
     """
     if model_path is None:
         decided = ((chunk, None) for chunk in batched(pairs, _CHUNK_PAIRS))
     else:
         decided = clean_chunks(pairs, total, load_model(model_path), mode, workers)
-    report = CleaningReport(0, 0, {}, [] if include_decisions else None)
+    report = CleaningReport(0, 0, {}, [] if keep_decisions else None)
     removed: tuple[list, list] = ([], [])
     # closed on an error too, so that a worker pool ends with the pass
     with parallel_writer(out_src, out_tgt) as write, closing(decided):
@@ -336,7 +331,7 @@ def clean_and_write(
                 each_kept(kept)
     if model_path is None:
         return {"total": report.total, "kept": report.kept, "removed_by_reason": {}, "cleaning": "disabled"}, removed
-    return report.to_dict(include_decisions=include_decisions), removed
+    return report.to_dict(), removed
 
 
 def _run_prep(config: PipelineConfig, out: Path, manifest: _Manifest) -> None:
@@ -369,23 +364,20 @@ def _run_prep(config: PipelineConfig, out: Path, manifest: _Manifest) -> None:
 
     pairs = read()
     try:
-        writer = parallel_writer(*tokenized) if config.tokenize_output else nullcontext()
-        with _stage("tokenize"), writer as write_tokenized:
-            if write_tokenized is not None:
-                rules_src = resolve_rules(config.src_lang, config.tgt_lang)
-                rules_tgt = resolve_rules(config.tgt_lang, config.src_lang)
+        with _stage("tokenize"), parallel_writer(*tokenized) as write_tokenized:
+            rules_src = resolve_rules(config.src_lang, config.tgt_lang)
+            rules_tgt = resolve_rules(config.tgt_lang, config.src_lang)
 
             def take(kept: list) -> None:
                 with _stage("stats_after"):
                     after.add(kept)
-                if write_tokenized is not None:
-                    with _stage("tokenize"):
-                        sources = tokenize_lines([p.source for p in kept], rules_src)
-                        targets = tokenize_lines([p.target for p in kept], rules_tgt)
-                        write_tokenized(
-                            SentencePair(p.index, " ".join(source), " ".join(target), p.src_lang, p.tgt_lang)
-                            for p, source, target in zip(kept, sources, targets)
-                        )
+                with _stage("tokenize"):
+                    sources = tokenize_lines([p.source for p in kept], rules_src)
+                    targets = tokenize_lines([p.target for p in kept], rules_tgt)
+                    write_tokenized(
+                        SentencePair(p.index, " ".join(source), " ".join(target), p.src_lang, p.tgt_lang)
+                        for p, source, target in zip(kept, sources, targets)
+                    )
 
             with _stage("clean"):
                 model_path = config.model if config.clean_enabled else None
@@ -405,8 +397,6 @@ def _run_prep(config: PipelineConfig, out: Path, manifest: _Manifest) -> None:
             record_stats_before()
         raise
 
-    if not config.tokenize_output:
-        return
     with _stage("tokenize"):
         body = {"lines": body["kept"], "source_rules": rules_src.lang, "target_rules": rules_tgt.lang}
         report_path = _write_report(out / "tokenize_report.json", config, body)
@@ -422,12 +412,10 @@ def _run_eval(config: PipelineConfig, out: Path, manifest: _Manifest) -> None:
     # failed first had the stages run in turn: a reference or source that
     # fails to read or has another line count fails score or cognates only
     # once the stages before it are recorded.
-    rules = resolve_rules(config.lang, config.src_lang)
+    rules = resolve_rules(config.tgt_lang, config.src_lang)
     settings = EvalSettings(
         rules,
-        resolve_rules(config.src_lang, config.lang),
-        config.src_lang,
-        config.lang,
+        resolve_rules(config.src_lang, config.tgt_lang),
         config.lowercase,
         config.cognate_threshold,
         config.cognate_min_len,

@@ -9,8 +9,11 @@ import pytest
 from click.testing import CliRunner
 
 from oracles import tokenize_per_line
+from synth import synthetic_noisy_corpus
 
+from bitextkit.cleaner import _CHUNK_PAIRS, audit_table, clean
 from bitextkit.cli import cli
+from bitextkit.corpus_io import read_parallel, write_parallel
 from bitextkit.langid import classify, save_model
 from bitextkit.tokenizer import resolve_rules
 
@@ -539,3 +542,44 @@ def test_counts_below_one_are_usage_errors(runner, tmp_path, corpus, args):
     assert result.exit_code == 2
     assert "Usage:" in result.output and options[-2] in result.output
     assert "x>=1" in result.output
+
+
+@pytest.mark.parametrize("fmt", ["tsv", "text"])
+@pytest.mark.parametrize("workers", [1, 2])
+def test_clean_audit_prints_the_table_of_the_removed_pairs(runner, tmp_path, fixture_model, model_path, fmt, workers):
+    """Over more than one chunk of pairs, ``--audit`` prints the audit table
+    of the pairs that ``clean`` removes, then the summary line."""
+    pairs, _ = synthetic_noisy_corpus(n_clean=120, n_copied=20, n_wrong=20)
+    src, tgt = tmp_path / "c.es", tmp_path / "c.ca"
+    write_parallel(pairs, src, tgt)
+    pairs = list(read_parallel(src, tgt, "es", "ca"))
+    result = clean(pairs, fixture_model, keep_decisions=True)
+    prefix = tmp_path / "out"
+    args = ["clean", "--src", str(src), "--tgt", str(tgt), "--src-lang", "es", "--tgt-lang", "ca",
+            "--out-prefix", str(prefix), "--audit", fmt, "--workers", str(workers)]
+    summary = f"kept {len(result.kept)}/{len(pairs)} pairs -> {prefix}.es, {prefix}.ca\n"
+    audited = runner.invoke(cli, args + ["--model", str(model_path)])
+    assert audited.exit_code == 0, audited.output
+    assert {d.index < _CHUNK_PAIRS for d in result.report.decisions if not d.keep} == {True, False}
+    assert audited.stderr == audit_table(result.report.decisions, pairs, fmt=fmt) + "\n" + summary
+    passed = runner.invoke(cli, args + ["--no-clean"])
+    assert passed.exit_code == 0, passed.output
+    assert passed.stderr == f"kept {len(pairs)}/{len(pairs)} pairs -> {prefix}.es, {prefix}.ca\n"
+
+
+@pytest.mark.parametrize(
+    "args, error",
+    [
+        (["langid-train", "--seed", "es", "--out", "m.lidm"], "--seed expects LANG=FILE, got 'es'"),
+        (["pipeline", "--set", "workers"], "--set expects KEY=VALUE, got 'workers'"),
+        (["clean", "--src", "{src}", "--tgt", "{tgt}", "--src-lang", "es", "--tgt-lang", "ca", "--out-prefix", "x"],
+         "--model is required unless --no-clean is given"),
+    ],
+)
+def test_usage_errors_exit_1_with_their_message(runner, tmp_path, corpus, args, error):
+    src, tgt = corpus
+    with runner.isolated_filesystem(temp_dir=tmp_path):
+        result = runner.invoke(cli, [arg.format(src=src, tgt=tgt) for arg in args])
+        assert result.exit_code == 1
+        assert result.stderr == f"error: {error}\n"
+        assert sorted(p.name for p in Path(".").iterdir()) == []

@@ -42,6 +42,18 @@ class TestTrain:
         save_model(train(TOY_SEEDS, ngram_range=(1, 255), vocab_size=50), tmp_path / "m.lidm")
         assert load_model(tmp_path / "m.lidm").ngram_range == (1, 255)
 
+    @pytest.mark.parametrize(
+        "options, message",
+        [
+            ({"vocab_size": 0}, "vocab_size must be positive, got 0"),
+            ({"smoothing_alpha": 0}, "smoothing_alpha must be positive, got 0"),
+            ({"ngram_range": (20, 20)}, r"seeds produced no n-grams for ngram_range \(20, 20\)"),
+        ],
+    )
+    def test_options_that_leave_no_model_rejected(self, options, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            train(TOY_SEEDS, **options)
+
     def test_vocab_size_one(self):
         model = train(TOY_SEEDS, ngram_range=(1, 2), vocab_size=1)
         assert len(model.vocabulary) == 1
@@ -160,6 +172,34 @@ class TestSerialization:
         with pytest.raises(VersionMismatch) as err:
             load_model(tmp_path / "v255.lidm")
         assert err.value.found == 255
+
+    def test_invalid_utf8_in_a_vocabulary_entry_reports_its_offset(self, toy_model, tmp_path):
+        path = tmp_path / "model.lidm"
+        save_model(toy_model, path)
+        data = bytearray(path.read_bytes())
+        # magic, version, language count and codes, n-gram range, alpha, vocabulary size
+        offset = 4 + 1 + 2 + sum(2 + len(lang) for lang in toy_model.languages) + 2 + 8 + 4
+        for gram in sorted(toy_model.vocabulary, key=toy_model.vocabulary.get):
+            if len(gram) > 1:
+                break
+            offset += 2 + len(gram.encode("utf-8"))
+        assert data[offset + 2 : offset + 2 + len(gram)] == gram.encode("ascii")
+        data[offset + 3] = 0xFF  # the gram's second byte
+        (tmp_path / "bad.lidm").write_bytes(bytes(data))
+        with pytest.raises(ModelFormatError) as err:
+            load_model(tmp_path / "bad.lidm")
+        assert err.value.offset == offset + 3
+        assert str(err.value) == f"corrupt model file at byte offset {offset + 3}: bad UTF-8 in vocabulary entry"
+
+    def test_trailing_byte_reports_its_offset(self, toy_model, tmp_path):
+        path = tmp_path / "model.lidm"
+        save_model(toy_model, path)
+        data = path.read_bytes()
+        (tmp_path / "long.lidm").write_bytes(data + b"\x00")
+        with pytest.raises(ModelFormatError) as err:
+            load_model(tmp_path / "long.lidm")
+        assert err.value.offset == len(data)
+        assert str(err.value) == f"corrupt model file at byte offset {len(data)}: 1 trailing bytes"
 
     def test_bad_magic_rejected(self, tmp_path):
         (tmp_path / "junk.lidm").write_bytes(b"NOPE" + b"\x00" * 30)

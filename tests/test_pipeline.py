@@ -1,6 +1,8 @@
 import json
 import sys
 from collections import Counter
+from dataclasses import fields
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -12,6 +14,7 @@ from bitextkit.corpus_io import SentencePair
 from bitextkit.evaluation import cognate_report
 from bitextkit.pipeline import (
     ConfigParseError,
+    PipelineConfig,
     StageFailure,
     dump_json,
     parse_config_file,
@@ -86,7 +89,6 @@ class TestValidateConfig:
         assert errors == []
         assert config.clean_mode == "both"
         assert config.workers == 1
-        assert config.lang == "ca"
 
     def test_missing_path_is_one_error(self, tmp_path, fixture_model):
         cfg = self._minimal(tmp_path, fixture_model)
@@ -122,6 +124,44 @@ class TestValidateConfig:
         config, errors = validate_config(cfg, overrides={"no_such_key": "1"}, env={})
         assert config is None
         assert any("unknown config key" in e for e in errors)
+
+    @pytest.mark.parametrize(
+        "line, error",
+        [
+            (" = x", "{cfg}:8:1: empty key"),
+            ("clean_enabled = maybe", "clean_enabled: expected a boolean, got 'maybe'"),
+            ("workers = two", "workers: expected int, got 'two'"),
+            ("task = train", "task: must be one of ('prep', 'eval'), got 'train'"),
+            ("src_lang =", "src_lang: required"),
+            ("tgt_lang =", "tgt_lang: required"),
+            ("clean_mode = strict", "clean_mode: must be one of ('per_side', 'concat', 'both'), got 'strict'"),
+            ("cognate_threshold = 0", "cognate_threshold: must be in (0, 1], got 0.0"),
+            ("cognate_threshold = 1.5", "cognate_threshold: must be in (0, 1], got 1.5"),
+            ("cognate_min_len = 0", "cognate_min_len: must be >= 1, got 0"),
+            ("hyp =", "hyp: required for the eval task"),
+            ("ref =", "ref: required for the eval task"),
+            ("source =", "source: required for the eval task"),
+            ("tokenize_output = false", "unknown config key 'tokenize_output'"),
+            ("lang = es", "unknown config key 'lang'"),
+        ],
+    )
+    def test_one_bad_value_gives_one_error(self, tmp_path, line, error):
+        """A valid eval config with one line appended, which overrides the
+        key it names."""
+        paths = {key: tmp_path / f"{key}.txt" for key in ("source", "ref", "hyp")}
+        for path in paths.values():
+            path.write_text("el gat\n", encoding="utf-8")
+        values = {"task": "eval", "src_lang": "es", "tgt_lang": "ca", **paths, "out_dir": tmp_path / "out"}
+        cfg = tmp_path / "p.cfg"
+        cfg.write_text("".join(f"{k} = {v}\n" for k, v in values.items()), encoding="utf-8")
+        assert validate_config(cfg, env={})[1] == []
+        cfg.write_text(cfg.read_text(encoding="utf-8") + line + "\n", encoding="utf-8")
+        try:
+            config, errors = validate_config(cfg, env={})
+        except ConfigParseError as exc:
+            config, errors = None, [str(exc)]
+        assert config is None
+        assert errors == [error.format(cfg=cfg)]
 
 
 class TestRunPipeline:
@@ -421,7 +461,7 @@ def test_eval_lowercase_tokenizes_the_folded_line(tmp_path, lowercase, hyp_len):
     """The tokenizer reads case: "casa. Luego" splits the period off, and
     "casa. luego" keeps "casa." whole. Scoring folds case first."""
     line = "Vino a casa. Luego salió"
-    config = _eval_config(tmp_path, [line], [line], [line], lang="es", lowercase=str(lowercase).lower())
+    config = _eval_config(tmp_path, [line], [line], [line], src_lang="ca", tgt_lang="es", lowercase=str(lowercase).lower())
     run_pipeline(config)
     assert json.loads((tmp_path / "out" / "score.json").read_text(encoding="utf-8"))["hyp_len"] == hyp_len
 
@@ -574,3 +614,16 @@ def test_a_streamed_eval_fails_the_stage_that_would_fail_first(tmp_path, source,
         assert json.loads((out / "detokenize_report.json").read_text(encoding="utf-8"))["lines"] == len(detok)
     for name, data in complete.items():
         assert (out / name).read_bytes() == data, name
+
+
+def test_readme_documents_every_config_key():
+    """The README's pipeline configuration table lists exactly the config
+    keys, in order, with their defaults."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("### Pipeline configuration\n", 1)[1].split("\n#", 1)[0]
+    rows = [line.split("|")[1:3] for line in section.splitlines() if line.startswith("| `")]
+    documented = {key.strip().strip("`"): default.strip() for key, default in rows}
+    assert list(documented) == [f.name for f in fields(PipelineConfig)]
+    for f in fields(PipelineConfig):
+        if f.default != "":
+            assert documented[f.name] == f"`{str(f.default).lower()}`", f.name
