@@ -67,14 +67,12 @@ def cli():
 @click.option("--src", "src_path", type=click.Path(exists=True, dir_okay=False), help="Source-side file.")
 @click.option("--tgt", "tgt_path", type=click.Path(exists=True, dir_okay=False), help="Target-side file.")
 @click.option("--tsv", "tsv_path", type=click.Path(exists=True, dir_okay=False), help="Single TSV corpus instead of --src/--tgt.")
-@click.option("--src-lang", default="src", show_default=True)
-@click.option("--tgt-lang", default="tgt", show_default=True)
-def stats(src_path, tgt_path, tsv_path, src_lang, tgt_lang):
+def stats(src_path, tgt_path, tsv_path):
     """Sentence/word counts and type-token ratios of a corpus."""
     if tsv_path:
-        pairs = read_tsv(tsv_path, src_lang, tgt_lang)
+        pairs = read_tsv(tsv_path, "src", "tgt")
     elif src_path and tgt_path:
-        pairs = read_parallel(src_path, tgt_path, src_lang, tgt_lang)
+        pairs = read_parallel(src_path, tgt_path, "src", "tgt")
     else:
         _fail("provide --tsv or both --src and --tgt", 1)
     result = corpus_stats(pairs)

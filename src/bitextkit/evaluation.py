@@ -19,7 +19,7 @@ from typing import Iterator, Optional
 from .cognates import CognateReport, count_examined, extract_cognates, preservation
 from .corpus_io import SentencePair, batched, count_lines, decode_lines
 from .exceptions import EncodingError
-from .metrics.report import score_chunk
+from .metrics.report import score_segment
 from .parallel import parallel_map
 from .tokenizer import TokenizerRules, detokenize, tokenize_lines
 
@@ -98,14 +98,18 @@ def eval_chunk(job: tuple) -> tuple:
         return system, None, None
     system_tokens = tokenize_lines(system, rules)
     ref_tokens = tokenize_lines(refs, rules)
-    records = score_chunk(system, [refs], rules, settings.lowercase, [system_tokens, ref_tokens])
+    scored = system_tokens, ref_tokens
+    if settings.lowercase:
+        # the tokenizer reads case, so the folded lines are tokenized anew
+        scored = [tokenize_lines([line.lower() for line in lines], rules) for lines in (system, refs)]
+    records = [score_segment(hyp, [ref]) for hyp, ref in zip(*scored)]
     if sources is None:
         return system, records, None
     pairs = [
         SentencePair(i, " ".join(source), " ".join(ref), "src", "ref")
         for i, (source, ref) in enumerate(zip(tokenize_lines(sources, settings.src_rules), ref_tokens))
     ]
-    del ref_tokens  # the pairs hold the reference text now; dropping the lists lowers the peak
+    del ref_tokens, scored  # the pairs hold the reference text now; dropping the lists lowers the peak
     found, examined, preserved = _cognate_chunk((pairs, system_tokens, settings.threshold, settings.min_len))
     return system, records, (examined, len(found), preserved)
 

@@ -8,25 +8,19 @@ class BitextError(Exception):
 class LineCountMismatch(BitextError):
     """Two line-aligned files (or streams) have different lengths."""
 
-    def __init__(self, first_count: int, second_count: int, context: str = ""):
+    def __init__(self, first_count: int, second_count: int, context: str):
         self.first_count = first_count
         self.second_count = second_count
-        msg = f"line counts differ: {first_count} vs {second_count}"
-        if context:
-            msg = f"{context}: {msg}"
-        super().__init__(msg)
+        super().__init__(f"{context}: line counts differ: {first_count} vs {second_count}")
 
 
 class EncodingError(BitextError):
     """A file is not valid UTF-8; reports the byte offset of the bad data."""
 
-    def __init__(self, path, byte_offset: int, detail: str = ""):
+    def __init__(self, path, byte_offset: int, detail: str):
         self.path = path
         self.byte_offset = byte_offset
-        msg = f"{path}: invalid UTF-8 at byte offset {byte_offset}"
-        if detail:
-            msg += f" ({detail})"
-        super().__init__(msg)
+        super().__init__(f"{path}: invalid UTF-8 at byte offset {byte_offset} ({detail})")
 
 
 class UnwritableField(BitextError, ValueError):
@@ -43,11 +37,10 @@ class UnwritableField(BitextError, ValueError):
 class MalformedRow(BitextError):
     """A TSV row does not contain exactly one TAB separator."""
 
-    def __init__(self, index: int, tab_count: int = -1):
+    def __init__(self, index: int, tab_count: int):
         self.index = index
         self.tab_count = tab_count
-        detail = "" if tab_count < 0 else f" ({tab_count} tabs)"
-        super().__init__(f"malformed row at line index {index}{detail}")
+        super().__init__(f"malformed row at line index {index} ({tab_count} tabs)")
 
 
 class InsufficientLanguages(BitextError):

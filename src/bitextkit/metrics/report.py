@@ -3,11 +3,11 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 from ..corpus_io import read_lines
 from ..exceptions import EmptyCorpus, LineCountMismatch
-from ..tokenizer import TokenizerRules, resolve_rules, tokenize_lines
+from ..tokenizer import resolve_rules, tokenize_lines
 from .bleu import BleuFold, BleuScore, BleuStats, segment_stats
 from .ribes import DEFAULT_ALPHA, DEFAULT_BETA, RibesFold, RibesScore, ribes
 from .segments import fold_segments
@@ -108,35 +108,6 @@ def read_references(hyp_lines: Sequence[str], hyp_path, ref_paths) -> list:
     return ref_corpora
 
 
-def _split_lines(lines: Sequence[str], rules: Optional[TokenizerRules]) -> list:
-    """Each line's tokens: by the tokenizer ``rules``, or split on
-    whitespace when ``rules`` is None."""
-    return tokenize_lines(lines, rules) if rules is not None else [line.split() for line in lines]
-
-
-def score_chunk(
-    hyp_lines: Sequence[str],
-    ref_corpora: list,
-    rules: Optional[TokenizerRules],
-    lowercase: bool,
-    tokens: Optional[list] = None,
-) -> list:
-    """The ``SegmentRecord`` of each of ``hyp_lines`` against the
-    line-aligned ``ref_corpora``, the lines split by ``_split_lines``.
-
-    ``lowercase`` folds case before splitting, never after: the tokenizer
-    reads case, so it splits "casa. Luego" but not "casa. luego". Otherwise
-    ``tokens`` (the hypotheses, then each reference corpus, already split)
-    are scored when given.
-    """
-    if lowercase or tokens is None:
-        tokens = [
-            _split_lines([line.lower() for line in lines] if lowercase else lines, rules) for lines in (hyp_lines, *ref_corpora)
-        ]
-    hyps, *refs = tokens
-    return [score_segment(hyp, [ref[i] for ref in refs]) for i, hyp in enumerate(hyps)]
-
-
 def score_report(
     hyp_path,
     ref_paths,
@@ -155,7 +126,15 @@ def score_report(
         ref_paths = [ref_paths]
     hyp_lines = read_lines(hyp_path)
     ref_corpora = read_references(hyp_lines, hyp_path, ref_paths)
-    fold = ScoreFold()
-    for record in score_chunk(hyp_lines, ref_corpora, None if tokenized_input else resolve_rules(lang), lowercase):
-        fold.add(record)
-    return fold.report()
+    rules = None if tokenized_input else resolve_rules(lang)
+    tokens = []
+    for lines in (hyp_lines, *ref_corpora):
+        # case is folded before splitting, never after: the tokenizer reads
+        # case, so it splits "casa. Luego" but not "casa. luego"
+        if lowercase:
+            lines = [line.lower() for line in lines]
+        tokens.append([line.split() for line in lines] if rules is None else tokenize_lines(lines, rules))
+    hyps, *refs = tokens
+    # not zip(*refs): without reference files each segment gets no
+    # reference, and scoring it raises ValueError
+    return score_corpus(hyps, [[ref[i] for ref in refs] for i in range(len(hyps))])

@@ -132,20 +132,25 @@ def ribes(hyp: Tokens, refs: Sequence[Tokens]) -> RibesScore:
 
 class RibesFold:
     """Corpus RIBES as a fold: ``add`` each segment's best ``RibesScore``,
-    then read ``score()``. The four floats of every segment are kept, so
-    that each mean is one ``sum()`` over the segments in order, whose
-    rounding differs from a running total's on Python 3.12+."""
+    then read ``score()``, the mean of each field. Each field is a running
+    total added to in segment order, the order in which ``sum()`` adds
+    floats up to Python 3.11, so the means do not depend on the Python
+    version and the fold holds four floats whatever the corpus size."""
 
     def __init__(self):
-        self.columns: tuple = ([], [], [], [])
+        self.ribes = self.nkt = self.unigram_precision = self.bp = 0.0
+        self.count = 0
 
     def add(self, score: RibesScore) -> None:
-        for column, value in zip(self.columns, (score.ribes, score.nkt, score.unigram_precision, score.bp)):
-            column.append(value)
+        self.ribes += score.ribes
+        self.nkt += score.nkt
+        self.unigram_precision += score.unigram_precision
+        self.bp += score.bp
+        self.count += 1
 
     def score(self) -> RibesScore:
-        n = len(self.columns[0])
-        return RibesScore(*(sum(column) / n for column in self.columns))
+        n = self.count
+        return RibesScore(self.ribes / n, self.nkt / n, self.unigram_precision / n, self.bp / n)
 
 
 def ribes_corpus(hypotheses: Sequence[Tokens], references: Sequence[Sequence[Tokens]]) -> RibesScore:

@@ -15,15 +15,15 @@ system output, references and sources in lockstep, 128 segments at a time,
 and maps ``evaluation.eval_chunk`` over the chunks with ``workers``; each
 chunk's lines are tokenized once and shared by scoring and cognates. The
 parent writes the detokenized lines as they come and folds each segment's
-scoring record and each chunk's cognate counts in segment order, so it
-holds a few chunks and four floats per segment (RIBES's, summed at the
-end), never the segments. With one worker its peak RSS was 23.9, 24.1 and
-24.4 MB at 500, 1,000 and 3,000 segments of ``eval-light``-shaped input
-(24.4, 25.9 and 32.1 MB when eval held every segment). Every stage writes
-a JSON report stamped by ``with_provenance`` (tool version, effective
-config), as do the CLI subcommands, which run the same stage bodies; a
-manifest records stage order and input/output hashes. Every artifact is
-replaced whole, so a failed stage leaves none half-written.
+scoring record and each chunk's cognate counts in segment order into
+running totals, so it holds a few chunks, never the segments. With one
+worker its peak RSS was 23.9, 24.1 and 24.4 MB at 500, 1,000 and 3,000
+segments of ``eval-light``-shaped input (24.4, 25.9 and 32.1 MB when eval
+held every segment). Every stage writes a JSON report stamped by
+``with_provenance`` (tool version, effective config), as do the CLI
+subcommands, which run the same stage bodies; a manifest records stage
+order and input/output hashes. Every artifact is replaced whole, so a
+failed stage leaves none half-written.
 """
 
 from __future__ import annotations

@@ -63,7 +63,7 @@ def model_path(tmp_path, fixture_model):
 
 def test_stats_json(runner, corpus):
     src, tgt = corpus
-    result = runner.invoke(cli, ["stats", "--src", str(src), "--tgt", str(tgt), "--src-lang", "es", "--tgt-lang", "ca"])
+    result = runner.invoke(cli, ["stats", "--src", str(src), "--tgt", str(tgt)])
     assert result.exit_code == 0, result.output
     payload = json.loads(result.stdout)
     assert payload["sentence_count"] == 3
@@ -79,7 +79,7 @@ def test_stats_requires_input(runner):
 def test_stats_tsv_input(runner, tmp_path):
     tsv = tmp_path / "c.tsv"
     tsv.write_text("hola amigos\thello friends\nadiós\tgoodbye\n", encoding="utf-8")
-    result = runner.invoke(cli, ["stats", "--tsv", str(tsv), "--src-lang", "es", "--tgt-lang", "en"])
+    result = runner.invoke(cli, ["stats", "--tsv", str(tsv)])
     assert result.exit_code == 0, result.output
     payload = json.loads(result.stdout)
     assert payload["sentence_count"] == 2

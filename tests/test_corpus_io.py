@@ -78,6 +78,7 @@ class TestReadTsv:
         with pytest.raises(MalformedRow) as err:
             list(read_tsv(path, "es", "en"))
         assert err.value.index == 0
+        assert str(err.value) == "malformed row at line index 0 (2 tabs)"
 
     def test_no_tab_is_malformed(self, tmp_path):
         path = tmp_path / "c.tsv"
@@ -85,6 +86,7 @@ class TestReadTsv:
         with pytest.raises(MalformedRow) as err:
             list(read_tsv(path, "es", "en"))
         assert err.value.index == 1
+        assert str(err.value) == "malformed row at line index 1 (0 tabs)"
 
     def test_crlf_strips_trailing_cr(self, tmp_path):
         path = tmp_path / "c.tsv"

@@ -8,24 +8,25 @@ import pytest
 from click.testing import CliRunner
 
 from bitextkit.cli import cli
+from bitextkit.metrics import score_report
 
 from synth import seed_lines, spliced
 from test_prep_stream import _artifacts, _peak_rss_mb, _traced
 
 
-def _eval_inputs(directory, count: int) -> dict:
-    """es->ca segments: every hypothesis is its reference split on spaces,
+def _eval_inputs(directory, count: int, src: str = "es", tgt: str = "ca") -> dict:
+    """src->tgt segments: every hypothesis is its reference split on spaces,
     with one pair of adjacent words swapped in every other segment."""
-    es, ca = seed_lines("es"), seed_lines("ca")
+    src_seeds, tgt_seeds = seed_lines(src), seed_lines(tgt)
     paths = {key: directory / f"{count}.{key}" for key in ("source", "ref", "hyp")}
     lines: dict = {key: [] for key in paths}
     for k in range(count):
-        ref = spliced(ca, k * 2 + 1, k * 5 + 2)
+        ref = spliced(tgt_seeds, k * 2 + 1, k * 5 + 2)
         hyp = ref.split()
         if k % 2:
             i = k % (len(hyp) - 1)
             hyp[i], hyp[i + 1] = hyp[i + 1], hyp[i]
-        lines["source"].append(spliced(es, k, k * 3 + 1))
+        lines["source"].append(spliced(src_seeds, k, k * 3 + 1))
         lines["ref"].append(ref)
         lines["hyp"].append(" ".join(hyp))
     for key, path in paths.items():
@@ -74,3 +75,24 @@ def test_peak_memory_does_not_grow_with_the_segments(tmp_path):
         peaks[count] = _peak_rss_mb(cfg, tmp_path / f"out-{count}")
     # holding every segment's lines and tokens cost about 3 MB per thousand
     assert peaks[3_000] - peaks[500] <= 1.0, peaks
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("lowercase", [False, True])
+def test_eval_scores_equal_cli_score_of_its_output(tmp_path, lowercase, workers):
+    """The eval pass scores each chunk's token lists; ``score_report`` splits
+    whole files. On a ca->es eval of three chunks, where both languages
+    have their own rules, the eval's score.json is ``score_report`` of the
+    detokenized output against the same reference."""
+    paths = _eval_inputs(tmp_path, 300, src="ca", tgt="es")
+    hyp_lines = paths["hyp"].read_text(encoding="utf-8").splitlines()
+    # upper-cased segments make ``lowercase`` change the scores
+    paths["hyp"].write_text("".join((line.upper() if k % 3 == 0 else line) + "\n" for k, line in enumerate(hyp_lines)), encoding="utf-8")
+    cfg = _eval_config(tmp_path, paths, src_lang="ca", tgt_lang="es", lowercase=str(lowercase).lower(), workers=workers)
+    out = tmp_path / "out"
+    result = CliRunner().invoke(cli, ["pipeline", "--config", str(cfg), "--set", f"out_dir={out}"])
+    assert result.exit_code == 0, result.output
+
+    body = json.loads((out / "score.json").read_text(encoding="utf-8"))
+    del body["tool_version"], body["config_echo"]
+    assert body == score_report(out / "detokenized.hyp", paths["ref"], lang="es", lowercase=lowercase).to_dict()

@@ -8,9 +8,9 @@ functions (the click commands) are reached through their decorators and
 are not checked.
 
 Likewise a parameter with a default, of a public function or of a public
-method of a public class, must be passed, by keyword or by position, by a
-call in the package or a demo: a setting that only the tests set is one
-more code path that nothing uses.
+method or the constructor of a public class, must be passed, by keyword or
+by position, by a call in the package or a demo: a setting that only the
+tests set is one more code path that nothing uses.
 """
 
 import ast
@@ -68,16 +68,19 @@ def test_every_public_name_is_used_outside_the_tests():
 
 
 def _public_callables(tree):
-    """(qualified name, def, is a bound method) of the public functions of
-    a module and the public methods of its public classes."""
+    """(qualified name, def, name its calls use, is a bound method) of the
+    public functions of a module, and the public methods and constructor
+    of its public classes; a constructor is called by its class name."""
     for node in tree.body:
         if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
-            yield node.name, node, False
+            yield node.name, node, node.name, False
         elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
             for item in node.body:
-                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                if isinstance(item, ast.FunctionDef) and item.name == "__init__":
+                    yield f"{node.name}.__init__", item, node.name, True
+                elif isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
                     static = any(isinstance(d, ast.Name) and d.id == "staticmethod" for d in item.decorator_list)
-                    yield f"{node.name}.{item.name}", item, not static
+                    yield f"{node.name}.{item.name}", item, item.name, not static
 
 
 def test_every_defaulted_parameter_is_passed_outside_the_tests():
@@ -93,7 +96,7 @@ def test_every_defaulted_parameter_is_passed_outside_the_tests():
     unpassed = []
     for path, tree in trees.items():
         module = ".".join(path.relative_to(PACKAGE).with_suffix("").parts)
-        for qualname, fn, bound in _public_callables(tree):
+        for qualname, fn, called_as, bound in _public_callables(tree):
             args = fn.args
             positional = [a.arg for a in args.posonlyargs + args.args][1 if bound else 0 :]
             defaulted = positional[len(positional) - len(args.defaults) :]
@@ -104,7 +107,7 @@ def test_every_defaulted_parameter_is_passed_outside_the_tests():
                     any(kw.arg in (param, None) for kw in call.keywords)
                     or any(isinstance(a, ast.Starred) for a in call.args)
                     or (param in positional and len(call.args) > positional.index(param))
-                    for call in calls.get(fn.name, ())
+                    for call in calls.get(called_as, ())
                 )
                 if not passed and f"{module}.{qualname}({param})" not in SET_BY_TESTS_ONLY:
                     unpassed.append(f"{module}.{qualname}({param})")

@@ -71,6 +71,12 @@ def test_line_count_mismatch(tmp_path):
         score_report(hyp, ref, lang="es")
 
 
+def test_no_reference_rejected(hyp_ref_files):
+    hyp, _ = hyp_ref_files
+    with pytest.raises(ValueError, match="^at least one reference is required$"):
+        score_report(hyp, [], lang="es")
+
+
 def test_tokenized_flag_splits_on_whitespace(tmp_path):
     hyp = tmp_path / "hyp.txt"
     ref = tmp_path / "ref.txt"

@@ -1,11 +1,12 @@
 import math
 import random
 import time
+import tracemalloc
 
 import pytest
 
 from bitextkit.metrics import ribes, ribes_corpus
-from bitextkit.metrics.ribes import DEFAULT_ALPHA, DEFAULT_BETA, normalized_kendall_tau, word_alignment
+from bitextkit.metrics.ribes import DEFAULT_ALPHA, DEFAULT_BETA, RibesFold, RibesScore, normalized_kendall_tau, word_alignment
 
 from oracles import ascending_fraction, distinct_word_alignment, ribes_alignment_rescan
 from synth import seed_lines
@@ -118,6 +119,34 @@ def test_corpus_is_mean_of_best_scores():
     refs = [[["a", "b", "c"]], [["a", "b", "c", "d"]]]
     corpus = ribes_corpus(hyps, refs)
     assert corpus.ribes == pytest.approx((1.0 + 0.0) / 2)
+
+
+@pytest.mark.parametrize("count", [1, 7, 1_000, 100_000])
+def test_fold_means_are_running_sums_in_constant_memory(count):
+    """Each mean is the fields added left to right with ``+=``, divided by
+    the count, to the bit; and the fold holds no per-segment state."""
+
+    def scores():
+        rng = random.Random(count)
+        for _ in range(count):
+            yield RibesScore(*(rng.choice((rng.random(), 1e-300 * rng.random(), 1.0, 5 / 6)) for _ in range(4)))
+
+    totals = [0.0] * 4
+    for score in scores():
+        for k, value in enumerate((score.ribes, score.nkt, score.unigram_precision, score.bp)):
+            totals[k] += value
+    fold = RibesFold()
+    tracemalloc.start()
+    try:
+        for score in scores():
+            fold.add(score)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    result = fold.score()
+    got = [result.ribes, result.nkt, result.unigram_precision, result.bp]
+    assert [v.hex() for v in got] == [(total / count).hex() for total in totals]
+    assert held < 0.1 * 2**20, held
 
 
 def test_alignment_equals_rescan_oracle_random():
