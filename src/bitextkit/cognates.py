@@ -26,14 +26,6 @@ DEFAULT_THRESHOLD = 0.3
 DEFAULT_MIN_LEN = 4
 
 
-def normalized_distance(a: str, b: str) -> float:
-    """Edit distance over the longer word's length; 0.0 for two empties."""
-    longest = max(len(a), len(b))
-    if longest == 0:
-        return 0.0
-    return levenshtein(a, b) / longest
-
-
 def _norm(word: str) -> str:
     return unicodedata.normalize("NFC", word).casefold()
 

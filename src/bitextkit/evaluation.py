@@ -11,9 +11,9 @@ command, maps the same cognate step over chunks of pairs.
 
 from __future__ import annotations
 
-from contextlib import ExitStack
+from contextlib import closing
 from dataclasses import dataclass, replace
-from itertools import islice
+from itertools import chain, islice
 from typing import Iterator, Optional
 
 from .cognates import CognateReport, count_examined, extract_cognates, preservation
@@ -114,43 +114,31 @@ def eval_chunk(job: tuple) -> tuple:
     return system, records, (examined, len(found), preserved)
 
 
+def _take(lines: Iterator[str], n: int) -> Optional[list]:
+    """The next ``n`` lines, or None when fewer come back."""
+    chunk = list(islice(lines, n))
+    return chunk if len(chunk) == n else None
+
+
 class _Aligned:
-    """An input read a chunk at a time beside the system output. A read
-    error is kept in ``error``, not raised, and once the input fails or
-    runs short it is read no further; ``count`` is the number of lines
-    read."""
+    """An input read beside the system output: ``lines`` yields its lines
+    and counts them in ``count``. An open or read error ends it and is kept
+    in ``error``, not raised."""
 
     def __init__(self, path):
         self.path = path
         self.count = 0
         self.error: Optional[Exception] = None
-        self.lines: Optional[Iterator[str]] = None
+        self.lines = self._read()
 
-    def open(self, stack: ExitStack) -> None:
+    def _read(self) -> Iterator[str]:
         try:
-            self.lines = decode_lines(stack.enter_context(open(self.path, "rb")))
-        except OSError as exc:
-            self.error = exc
-
-    def take(self, n: int) -> Optional[list]:
-        """The next ``n`` lines, or None once the input has failed or run short."""
-        if self.lines is None:
-            return None
-        try:
-            chunk = list(islice(self.lines, n))
+            with open(self.path, "rb") as fh:
+                for line in decode_lines(fh):
+                    self.count += 1
+                    yield line
         except (OSError, EncodingError) as exc:
-            self.error, self.lines = exc, None
-            return None
-        self.count += len(chunk)
-        if len(chunk) < n:
-            self.lines = None
-            return None
-        return chunk
-
-    def drain(self) -> None:
-        """Read and count the lines past the system output's."""
-        while self.take(EVAL_CHUNK) is not None:
-            pass
+            self.error = exc
 
 
 class EvalChunks:
@@ -172,11 +160,9 @@ class EvalChunks:
         return -(-count_lines(self.hyp) // EVAL_CHUNK)
 
     def __iter__(self) -> Iterator[tuple]:
-        with ExitStack() as stack:
-            hyps = decode_lines(stack.enter_context(open(self.hyp, "rb")))
-            self.refs.open(stack)
-            self.sources.open(stack)
-            for chunk in batched(hyps, EVAL_CHUNK):
-                yield self.settings, chunk, self.refs.take(len(chunk)), self.sources.take(len(chunk))
-            self.refs.drain()
-            self.sources.drain()
+        refs, sources = self.refs.lines, self.sources.lines
+        with open(self.hyp, "rb") as fh, closing(refs), closing(sources):
+            for chunk in batched(decode_lines(fh), EVAL_CHUNK):
+                yield self.settings, chunk, _take(refs, len(chunk)), _take(sources, len(chunk))
+            for _ in chain(refs, sources):
+                pass

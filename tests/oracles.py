@@ -220,6 +220,14 @@ def _cognate_norm(word):
     return unicodedata.normalize("NFC", word).casefold()
 
 
+def normalized_distance(a, b):
+    """``levenshtein`` over the longer word's length; 0.0 for two empties."""
+    from bitextkit.editdist import levenshtein
+
+    longest = max(len(a), len(b))
+    return levenshtein(a, b) / longest if longest else 0.0
+
+
 def cognates_per_pair(pairs, threshold, min_len):
     """Cognates of tokenized pairs: ``levenshtein`` on every eligible source
     word x target word of each sentence, then one-to-one greedy matching by
@@ -259,7 +267,7 @@ def cognates_per_pair(pairs, threshold, min_len):
 def preservation_per_token(cognates, system_output, threshold, examined=None):
     """The cognate report with ``normalized_distance`` against every system
     token of each cognate's sentence."""
-    from bitextkit.cognates import CognateReport, normalized_distance
+    from bitextkit.cognates import CognateReport
 
     preserved = 0
     for cognate in cognates:

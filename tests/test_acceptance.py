@@ -17,7 +17,6 @@ from bitextkit.cognates import (
     count_examined,
     extract_cognates,
     levenshtein,
-    normalized_distance,
     preservation,
 )
 from bitextkit.corpus_io import corpus_stats
@@ -32,6 +31,7 @@ from oracles import (
     distinct_word_alignment,
     edit_distance_matrix,
     levenshtein_recursive,
+    normalized_distance,
 )
 from synth import seed_lines, synthetic_noisy_corpus, throughput_corpus
 from test_tokenizer import load_cases

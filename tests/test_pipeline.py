@@ -547,6 +547,8 @@ def _first(data: bytes, count: int) -> bytes:
 # 200 segments are two chunks of the eval pass; each case reads past the first
 _HYP, _REF, _SRC = (_lines(text, 200) for text in ("el gat negre dorm", "el gat negre dorm", "el gato negro duerme"))
 _BAD_LAST_LINE = b"\xff casa\n"
+# an input that is replaced by a directory once validate_config has found it a file
+_DIRECTORY = None
 
 
 @pytest.mark.parametrize(
@@ -564,10 +566,14 @@ _BAD_LAST_LINE = b"\xff casa\n"
         # the stage that would fail first is reported, not the input that fails first
         (_SRC, _first(_REF, 100), _HYP + _BAD_LAST_LINE, "detokenize", "{hyp}: invalid UTF-8 at byte offset {hyp_bytes} (invalid start byte)", 0),
         (_first(_SRC, 100), _REF + _BAD_LAST_LINE, _HYP, "score", "{ref}: invalid UTF-8 at byte offset {ref_bytes} (invalid start byte)", 2),
+        (_SRC, _REF, _DIRECTORY, "detokenize", "[Errno 21] Is a directory: '{hyp}'", 0),
+        (_SRC, _DIRECTORY, _HYP, "score", "[Errno 21] Is a directory: '{ref}'", 2),
+        (_DIRECTORY, _REF, _HYP, "cognates", "[Errno 21] Is a directory: '{source}'", 3),
     ],
     ids=[
         "hyp-shorter", "hyp-longer", "source-shorter", "source-longer", "hyp-invalid-utf8", "ref-invalid-utf8",
         "source-invalid-utf8", "hyp-empty", "all-empty", "hyp-invalid-before-short-ref", "ref-invalid-before-short-source",
+        "hyp-directory", "ref-directory", "source-directory",
     ],
 )
 @pytest.mark.parametrize("workers", [1, 2])
@@ -579,7 +585,7 @@ def test_a_streamed_eval_fails_the_stage_that_would_fail_first(tmp_path, source,
     paths = {"source": tmp_path / "src.es", "ref": tmp_path / "ref.ca", "hyp": tmp_path / "hyp.ca"}
     out = tmp_path / "out"
     for key, data in (("source", _SRC), ("ref", ref), ("hyp", hyp)):
-        paths[key].write_bytes(data)
+        paths[key].write_bytes(data or b"")
     overrides = {"task": "eval", "src_lang": "es", "tgt_lang": "ca", "out_dir": out, "workers": workers, **paths}
     config, errors = validate_config(overrides=overrides, env={})
     assert errors == []
@@ -591,7 +597,11 @@ def test_a_streamed_eval_fails_the_stage_that_would_fail_first(tmp_path, source,
         for path in out.iterdir():
             path.unlink()
     for key, data in (("source", source), ("ref", ref), ("hyp", hyp)):
-        paths[key].write_bytes(data)
+        if data is _DIRECTORY:
+            paths[key].unlink()
+            paths[key].mkdir()
+        else:
+            paths[key].write_bytes(data)
 
     with pytest.raises(StageFailure) as failure:
         run_pipeline(config)

@@ -1,11 +1,14 @@
 """Keeps the public surface to what something other than the tests uses.
 
 A module-level function or class of ``bitextkit`` whose name has no leading
-underscore must be named somewhere else: imported by name or read as an
-attribute in the package or a demo, loaded as a bare name elsewhere in its
-own module, or mentioned in README.md or pyproject.toml. Decorated
-functions (the click commands) are reached through their decorators and
-are not checked.
+underscore must be named somewhere else: imported by name in the package
+(outside an ``__init__.py``, whose re-exports are not uses) or a demo, read
+as an attribute off a module there, loaded as a bare name elsewhere in its
+own module, traced by the benchmark (``TRACED`` in ``perfbench/spans.py``),
+or mentioned in README.md or pyproject.toml. An attribute of the same name
+read off anything but a module (a dataclass field, a method) is not a use.
+Decorated functions (the click commands) are reached through their
+decorators and are not checked.
 
 Likewise a parameter with a default, of a public function or of a public
 method or the constructor of a public class, must be passed, by keyword or
@@ -41,19 +44,84 @@ def _parse_package_and_demos() -> tuple:
     return trees, demos
 
 
+def _package_of(path: Path) -> str:
+    return ".".join(path.relative_to(PACKAGE.parent).parent.parts)
+
+
+def _module_of(path: Path) -> str:
+    return _package_of(path) if path.name == "__init__.py" else f"{_package_of(path)}.{path.stem}"
+
+
+def _dotted(node):
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        base = _dotted(node.value)
+        return base and f"{base}.{node.attr}"
+    return None
+
+
+def _modules(trees) -> set:
+    """The dotted names of the package's modules, less each that its
+    package's ``__init__.py`` hides by importing a name of the same name
+    (``bitextkit.metrics.ribes`` reads the function ``ribes``)."""
+    hidden = {
+        f"{_package_of(path)}.{alias.asname or alias.name}"
+        for path, tree in trees.items()
+        if path.name == "__init__.py"
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    return {_module_of(path) for path in trees} - hidden
+
+
+def _module_aliases(tree, package, modules: set) -> dict:
+    """Each name that the imports of a file bind to one of ``modules``, and
+    that module's dotted name; ``package`` is the file's package, None
+    outside the package."""
+    aliases = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                name = alias.asname or alias.name.partition(".")[0]
+                aliases[name] = alias.name if alias.asname else name
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module
+            if node.level:
+                base = ".".join(filter(None, [package.rsplit(".", node.level - 1)[0], node.module]))
+            for alias in node.names:
+                aliases[alias.asname or alias.name] = f"{base}.{alias.name}"
+    return {name: module for name, module in aliases.items() if module in modules}
+
+
+def _traced() -> set:
+    """``module.function`` of each function the benchmark traces, read off
+    ``TRACED`` without running ``perfbench/spans.py``."""
+    tree = ast.parse((ROOT / "perfbench" / "spans.py").read_text(encoding="utf-8"))
+    (traced,) = [n.value for n in tree.body if isinstance(n, ast.Assign) and _dotted(n.targets[0]) == "TRACED"]
+    return {f"{entry.elts[0].value}.{entry.elts[1].value}" for entry in traced.elts}
+
+
 def test_every_public_name_is_used_outside_the_tests():
     trees, demos = _parse_package_and_demos()
+    modules = _modules(trees)
     named = set()
-    for tree in [*trees.values(), *demos]:
+    for path, tree in [*trees.items(), *((None, demo) for demo in demos)]:
+        aliases = _module_aliases(tree, path and _package_of(path), modules)
         for node in ast.walk(tree):
-            if isinstance(node, ast.ImportFrom):
+            if isinstance(node, ast.ImportFrom) and not (path and path.name == "__init__.py"):
                 named.update(alias.name for alias in node.names)
             elif isinstance(node, ast.Attribute):
-                named.add(node.attr)
+                base, *rest = (_dotted(node.value) or "").split(".")
+                if ".".join([aliases.get(base, ""), *rest]) in modules:
+                    named.add(node.attr)
+    traced = _traced()
     docs = (ROOT / "README.md").read_text(encoding="utf-8") + (ROOT / "pyproject.toml").read_text(encoding="utf-8")
 
     unused = []
     for path, tree in trees.items():
+        module = _module_of(path).partition(".")[2]
         for node in tree.body:
             if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
                 continue
@@ -61,7 +129,7 @@ def test_every_public_name_is_used_outside_the_tests():
                 continue
             if node.name in named or node.name in _loaded_names(n for n in tree.body if n is not node):
                 continue
-            if re.search(rf"\b{node.name}\b", docs):
+            if f"{module}.{node.name}" in traced or re.search(rf"\b{node.name}\b", docs):
                 continue
             unused.append(f"{path.relative_to(PACKAGE)}::{node.name}")
     assert unused == [], f"public names that nothing outside the tests uses: {unused}"
