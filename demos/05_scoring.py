@@ -10,7 +10,9 @@ error costs RIBES and TER more than BLEU's n-gram view suggests.
 
 import json
 
-from bitextkit.metrics import bleu_sentence, ribes, score_corpus, ter
+from bitextkit.metrics import bleu_sentence, score_corpus
+from bitextkit.metrics.ribes import ribes
+from bitextkit.metrics.ter import ter
 
 reference = "el fondo debe movilizarse para aportar una contribución financiera".split()
 

@@ -91,6 +91,14 @@ class CleaningReport:
         return kept
 
 
+def report_body(report: CleaningReport, model: Optional[LangIdModel]) -> dict:
+    """The body of a cleaning report, marked when no model checked the pairs."""
+    body = report.to_dict()
+    if model is None:
+        body["cleaning"] = "disabled"
+    return body
+
+
 @dataclass
 class CleanResult:
     kept: list
@@ -198,13 +206,14 @@ class _Chunks:
 
 
 def clean_chunks(
-    pairs: Iterable[SentencePair], total: int, model: LangIdModel, mode: str = "both", workers: int = 1
+    pairs: Iterable[SentencePair], total: int, model: Optional[LangIdModel], mode: str = "both", workers: int = 1
 ) -> Iterator[tuple[list, list]]:
     """Decide ``pairs`` a chunk of ``_CHUNK_PAIRS`` at a time, yielding each
     chunk with its decisions in input order. ``total``, the number of
     pairs, sizes the pool; ``pairs`` is read only a bounded number of
     chunks ahead of the chunks taken, so a streamed corpus is never held
-    whole.
+    whole. With ``model`` None every pair is kept (the no-clean
+    pass-through).
 
     Raises UnknownLanguage when a pair claims a language the model does not
     cover, and ValueError when a pair claims the same language twice.
@@ -213,6 +222,10 @@ def clean_chunks(
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+    if model is None:
+        for chunk in batched(pairs, _CHUNK_PAIRS):
+            yield chunk, [CleaningDecision(pair.index, True, Reason.KEPT) for pair in chunk]
+        return
     chunks = _Chunks(pairs, total, model.languages)
     try:
         for decisions in parallel_map(

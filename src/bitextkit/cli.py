@@ -10,25 +10,29 @@ from __future__ import annotations
 
 import json
 import sys
-from contextlib import nullcontext
+from contextlib import closing, nullcontext
 from typing import Iterable
 
 import click
 
 from . import __version__
-from .cleaner import MODES, audit_table
-from .corpus_io import atomic_write, batched, corpus_stats, count_lines, decode_lines, read_lines, read_parallel, read_tsv
+from .cleaner import MODES, CleaningReport, audit_table, clean_chunks, report_body
+from .corpus_io import (
+    atomic_write,
+    batched,
+    corpus_stats,
+    count_lines,
+    decode_lines,
+    parallel_writer,
+    read_lines,
+    read_parallel,
+    read_tsv,
+)
 from .evaluation import cognate_report
 from .exceptions import BitextError, LineCountMismatch
 from .langid import classify_lines, load_model, save_model, train
 from .metrics import score_report
-from .pipeline import (
-    clean_and_write,
-    dump_json,
-    run_pipeline,
-    validate_config,
-    with_provenance,
-)
+from .pipeline import dump_json, run_pipeline, validate_config, with_provenance
 from .tokenizer import detokenize, resolve_rules, tokenize_stream
 
 # lines that langid-classify reads and classifies at a time
@@ -143,14 +147,24 @@ def clean_cmd(src_path, tgt_path, src_lang, tgt_lang, model_path, mode, out_pref
     out_src = f"{out_prefix}.{src_lang}"
     out_tgt = f"{out_prefix}.{tgt_lang}"
     pairs = read_parallel(src_path, tgt_path, src_lang, tgt_lang)
-    body, removed = clean_and_write(
-        pairs, count_lines(src_path), None if no_clean else model_path, mode, workers, out_src, out_tgt,
-        audit=bool(audit), keep_decisions=full_report,
-    )
+    total = count_lines(src_path)
+    model = None if no_clean else load_model(model_path)
+    decided = clean_chunks(pairs, total, model, mode, workers)
+    report = CleaningReport(0, 0, {}, [] if full_report and not no_clean else None)
+    removed: tuple[list, list] = ([], [])
+    # closed on an error too, so that a worker pool ends with the pass
+    with parallel_writer(out_src, out_tgt) as write, closing(decided):
+        for chunk, decisions in decided:
+            write(report.add(chunk, decisions))
+            if audit:
+                for pair, decision in zip(chunk, decisions):
+                    if not decision.keep:
+                        removed[0].append(decision)
+                        removed[1].append(pair)
     if audit and not no_clean:
         click.echo(audit_table(*removed, fmt=audit), err=True)
     payload = with_provenance(
-        body,
+        report_body(report, model),
         {
             "src": src_path,
             "tgt": tgt_path,
@@ -164,7 +178,7 @@ def clean_cmd(src_path, tgt_path, src_lang, tgt_lang, model_path, mode, out_pref
         dump_json(report_path, payload)
     else:
         _echo_json(payload)
-    click.echo(f"kept {body['kept']}/{body['total']} pairs -> {out_src}, {out_tgt}", err=True)
+    click.echo(f"kept {report.kept}/{report.total} pairs -> {out_src}, {out_tgt}", err=True)
 
 
 def _write_lines(output_path: str, lines: Iterable[str]) -> None:

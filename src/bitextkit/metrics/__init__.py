@@ -2,8 +2,8 @@
 
 from .bleu import BleuScore, bleu_corpus, bleu_sentence
 from .report import MetricReport, score_corpus, score_report
-from .ribes import RibesScore, ribes, ribes_corpus
-from .ter import EditCounts, TerScore, ter, ter_corpus
+from .ribes import RibesScore, ribes_corpus
+from .ter import EditCounts, TerScore, ter_corpus
 
 __all__ = [
     "BleuScore",
@@ -13,10 +13,8 @@ __all__ = [
     "TerScore",
     "bleu_corpus",
     "bleu_sentence",
-    "ribes",
     "ribes_corpus",
     "score_corpus",
     "score_report",
-    "ter",
     "ter_corpus",
 ]

@@ -5,8 +5,11 @@ resolve in order: defaults, file, ``BITEXTKIT_<KEY>`` environment
 variables, explicit overrides (the command line). The ``prep`` task runs
 stats -> clean -> stats -> tokenize over a training corpus in one streaming
 pass: it reads the corpus once, in chunks of 128 pairs, and writes, counts
-and tokenizes each chunk's kept pairs as the cleaner decides them. It holds
-a few chunks, the word types the statistics count and the langid model,
+and tokenizes each chunk's kept pairs as the cleaner decides them. It
+records ``stats_before`` as soon as the read ends, while the later
+stages' writers are still open, so a ``stats_before`` failure leaves no
+later stage's artifact. It holds a few chunks, the word types the
+statistics count and the langid model,
 never the corpus: with one worker its peak RSS was 40.1 MB at 16,000 pairs
 and 40.5 MB at 96,000 (48.8 and 99.1 MB when prep held the corpus whole;
 2 vCPU, Python 3.11). The ``eval`` task runs detokenize -> score ->
@@ -35,10 +38,10 @@ import time
 from contextlib import closing, contextmanager
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Callable, Iterable, Optional
+from typing import Optional
 
 from . import __version__
-from .cleaner import _CHUNK_PAIRS, MODES, CleaningReport, clean_chunks
+from .cleaner import _CHUNK_PAIRS, MODES, CleaningReport, clean_chunks, report_body
 from .cognates import CognateReport
 from .corpus_io import (
     SentencePair,
@@ -203,9 +206,10 @@ def validate_config(
 
 
 def _sha256(path) -> str:
+    # small blocks: prep hashes its inputs mid-pass, beside the langid model
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
+        for chunk in iter(lambda: fh.read(1 << 16), b""):
             digest.update(chunk)
     return digest.hexdigest()
 
@@ -283,82 +287,29 @@ def _stage(name: str):
         raise StageFailure(name, exc) from exc
 
 
-def clean_and_write(
-    pairs: Iterable[SentencePair],
-    total: int,
-    model_path,
-    mode: str,
-    workers: int,
-    out_src,
-    out_tgt,
-    audit: bool = False,
-    keep_decisions: bool = False,
-    each_kept: Optional[Callable[[list], None]] = None,
-) -> tuple[dict, tuple[list, list]]:
-    """Clean ``pairs`` with the langid model at ``model_path`` a chunk at a
-    time, writing each chunk's kept pairs to ``out_src`` / ``out_tgt`` as
-    it is decided, so that the corpus is never held whole. With
-    ``model_path`` None every pair is kept (the no-clean pass-through).
-    ``total``, the number of pairs, sizes the worker pool.
-
-    ``each_kept``, when given, is called with each chunk's kept pairs once
-    they are written. Returns the cleaning report body and the removed
-    pairs' decisions and pairs, which are collected only for ``audit``;
-    ``keep_decisions`` puts every decision in the body.
-    """
-    if model_path is None:
-        decided = ((chunk, None) for chunk in batched(pairs, _CHUNK_PAIRS))
-    else:
-        decided = clean_chunks(pairs, total, load_model(model_path), mode, workers)
-    report = CleaningReport(0, 0, {}, [] if keep_decisions else None)
-    removed: tuple[list, list] = ([], [])
-    # closed on an error too, so that a worker pool ends with the pass
-    with parallel_writer(out_src, out_tgt) as write, closing(decided):
-        for chunk, decisions in decided:
-            if decisions is None:
-                kept = chunk
-                report.total += len(chunk)
-                report.kept += len(chunk)
-            else:
-                kept = report.add(chunk, decisions)
-                if audit:
-                    for pair, decision in zip(chunk, decisions):
-                        if not decision.keep:
-                            removed[0].append(decision)
-                            removed[1].append(pair)
-            write(kept)
-            if each_kept is not None:
-                each_kept(kept)
-    if model_path is None:
-        return {"total": report.total, "kept": report.kept, "removed_by_reason": {}, "cleaning": "disabled"}, removed
-    return report.to_dict(), removed
-
-
 def _run_prep(config: PipelineConfig, out: Path, manifest: _Manifest) -> None:
     # One pass over the corpus. As it is read, each chunk of pairs is folded
-    # into stats_before; as the cleaner decides it, its kept pairs are
-    # written, folded into stats_after and tokenized. So a few chunks are in
-    # memory at a time, never the corpus. An error names the stage whose
-    # step raised it. Before a later stage's failure is reported, the rest
-    # of the corpus is read and stats_before recorded, as when each stage
-    # runs over the whole corpus in turn: a read error anywhere still fails
-    # stats_before.
+    # into stats_before, which is recorded as soon as the read ends; as the
+    # cleaner decides it, its kept pairs are written, folded into stats_after
+    # and tokenized. So a few chunks are in memory at a time, never the
+    # corpus. An error names the stage whose step raised it. A stats_before
+    # failure raises while the later stages' writers are still open, so it
+    # leaves none of their artifacts. Before a later stage's failure is
+    # reported, the rest of the corpus is read and stats_before recorded, as
+    # when each stage runs over the whole corpus in turn: a read error
+    # anywhere still fails stats_before.
     inputs = [config.source, config.target]
     langs = (config.src_lang, config.tgt_lang)
     cleaned = [out / f"cleaned.{lang}" for lang in langs]
     tokenized = [out / f"tokenized.{lang}" for lang in langs]
     before, after = StatsFold(), StatsFold()
+    report = CleaningReport(0, 0, {})
 
     def read():
         with _stage("stats_before"):
             for chunk in batched(read_parallel(*inputs, *langs), _CHUNK_PAIRS):
                 before.add(chunk)
                 yield from chunk
-
-    def record_stats_before() -> None:
-        with _stage("stats_before"):
-            for _ in pairs:
-                pass
             report_path = _write_report(out / "stats_before.json", config, before.stats().to_dict())
             manifest.record("stats_before", inputs, [report_path])
 
@@ -367,38 +318,37 @@ def _run_prep(config: PipelineConfig, out: Path, manifest: _Manifest) -> None:
         with _stage("tokenize"), parallel_writer(*tokenized) as write_tokenized:
             rules_src = resolve_rules(config.src_lang, config.tgt_lang)
             rules_tgt = resolve_rules(config.tgt_lang, config.src_lang)
-
-            def take(kept: list) -> None:
-                with _stage("stats_after"):
-                    after.add(kept)
-                with _stage("tokenize"):
-                    sources = tokenize_lines([p.source for p in kept], rules_src)
-                    targets = tokenize_lines([p.target for p in kept], rules_tgt)
-                    write_tokenized(
-                        SentencePair(p.index, " ".join(source), " ".join(target), p.src_lang, p.tgt_lang)
-                        for p, source, target in zip(kept, sources, targets)
-                    )
-
             with _stage("clean"):
-                model_path = config.model if config.clean_enabled else None
-                body, _ = clean_and_write(
-                    pairs, count_lines(config.source), model_path, config.clean_mode, config.workers, *cleaned,
-                    each_kept=take,
-                )
-            record_stats_before()
-            with _stage("clean"):
-                report_path = _write_report(out / "cleaning_report.json", config, body)
-                manifest.record("clean", inputs + ([model_path] if model_path else []), [*cleaned, report_path])
+                total = count_lines(config.source)
+                model = load_model(config.model) if config.clean_enabled else None
+                decided = clean_chunks(pairs, total, model, config.clean_mode, config.workers)
+                # closed on an error too, so that a worker pool ends with the pass
+                with parallel_writer(*cleaned) as write_cleaned, closing(decided):
+                    for chunk, decisions in decided:
+                        kept = report.add(chunk, decisions)
+                        write_cleaned(kept)
+                        with _stage("stats_after"):
+                            after.add(kept)
+                        with _stage("tokenize"):
+                            sources = tokenize_lines([p.source for p in kept], rules_src)
+                            targets = tokenize_lines([p.target for p in kept], rules_tgt)
+                            write_tokenized(
+                                SentencePair(p.index, " ".join(source), " ".join(target), p.src_lang, p.tgt_lang)
+                                for p, source, target in zip(kept, sources, targets)
+                            )
+                            del sources, targets  # not kept while the next chunk is decided
+                report_path = _write_report(out / "cleaning_report.json", config, report_body(report, model))
+                manifest.record("clean", inputs + ([config.model] if config.clean_enabled else []), [*cleaned, report_path])
             with _stage("stats_after"):
                 report_path = _write_report(out / "stats_after.json", config, after.stats().to_dict())
                 manifest.record("stats_after", cleaned, [report_path])
-    except StageFailure as failure:
-        if failure.stage != "stats_before" and not manifest.stages:
-            record_stats_before()
+    except StageFailure:
+        for _ in pairs:
+            pass
         raise
 
     with _stage("tokenize"):
-        body = {"lines": body["kept"], "source_rules": rules_src.lang, "target_rules": rules_tgt.lang}
+        body = {"lines": report.kept, "source_rules": rules_src.lang, "target_rules": rules_tgt.lang}
         report_path = _write_report(out / "tokenize_report.json", config, body)
         manifest.record("tokenize", cleaned, [*tokenized, report_path])
 

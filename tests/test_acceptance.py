@@ -22,7 +22,9 @@ from bitextkit.cognates import (
 from bitextkit.corpus_io import corpus_stats
 from bitextkit.evaluation import cognate_report
 from bitextkit.langid import classify, train
-from bitextkit.metrics import bleu_corpus, bleu_sentence, ribes, score_corpus, ter
+from bitextkit.metrics import bleu_corpus, bleu_sentence, score_corpus
+from bitextkit.metrics.ribes import ribes
+from bitextkit.metrics.ter import ter
 from bitextkit.tokenizer import detokenize, resolve_rules, tokenize
 
 from oracles import (

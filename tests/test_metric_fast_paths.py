@@ -10,7 +10,6 @@ search stops once the distance reaches the bag floor, and a round returns
 its first candidate at the floor.
 """
 
-import importlib
 import math
 import random
 from collections import Counter
@@ -19,17 +18,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import bitextkit.metrics.bleu as bleu_module
+import bitextkit.metrics.ribes as ribes_module
+import bitextkit.metrics.ter as ter_module
 from bitextkit.editdist import levenshtein
-from bitextkit.metrics import bleu_corpus, ribes, ter
-from bitextkit.metrics.ribes import DEFAULT_ALPHA, DEFAULT_BETA, word_alignment
-from bitextkit.metrics.ter import DEFAULT_MAX_SHIFT_SIZE
+from bitextkit.metrics import bleu_corpus
+from bitextkit.metrics.ribes import DEFAULT_ALPHA, DEFAULT_BETA, ribes, word_alignment
+from bitextkit.metrics.ter import DEFAULT_MAX_SHIFT_SIZE, ter
 
 from oracles import ascending_fraction, bleu_brute, ribes_alignment_rescan, ter_edits_greedy
 from synth import seed_lines
-
-bleu_module = importlib.import_module("bitextkit.metrics.bleu")
-ribes_module = importlib.import_module("bitextkit.metrics.ribes")
-ter_module = importlib.import_module("bitextkit.metrics.ter")
 
 
 def _mutations(ref, rng):

@@ -152,6 +152,61 @@ def test_a_later_stage_fails_after_stats_before_is_recorded(tmp_path):
     assert [(s["name"], s["status"]) for s in manifest["stages"]] == [("stats_before", "failed")]
 
 
+# artifact made a directory before the run: the stage that fails, the
+# stages recorded before it, and the artifacts left beside the manifest
+_UNWRITABLE = {
+    "stats_before.json": ("stats_before", [], []),
+    "cleaned.es": ("clean", ["stats_before"], ["stats_before.json"]),
+    "cleaned.ca": ("clean", ["stats_before"], ["stats_before.json"]),
+    "cleaning_report.json": ("clean", ["stats_before"], ["cleaned.ca", "cleaned.es", "stats_before.json"]),
+    "stats_after.json": (
+        "stats_after",
+        ["stats_before", "clean"],
+        ["cleaned.ca", "cleaned.es", "cleaning_report.json", "stats_before.json"],
+    ),
+    "tokenized.es": ("tokenize", ["stats_before"], ["stats_before.json"]),
+    "tokenized.ca": ("tokenize", ["stats_before"], ["stats_before.json"]),
+    "tokenize_report.json": (
+        "tokenize",
+        ["stats_before", "clean", "stats_after"],
+        ["cleaned.ca", "cleaned.es", "cleaning_report.json", "stats_after.json", "stats_before.json", "tokenized.ca", "tokenized.es"],
+    ),
+}
+
+
+@pytest.mark.parametrize("clean_enabled", ["true", "false"])
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("artifact", sorted(_UNWRITABLE))
+def test_an_unwritable_artifact_fails_its_stage_and_leaves_no_later_stage_artifact(
+    tmp_path, model_path, artifact, workers, clean_enabled
+):
+    pairs, _ = synthetic_noisy_corpus(n_clean=250, n_copied=25, n_wrong=25)
+    write_parallel(pairs, tmp_path / "corpus.es", tmp_path / "corpus.ca")
+    out = tmp_path / "out"
+    (out / artifact).mkdir(parents=True)
+    cfg = _prep_config(
+        tmp_path, model_path, tmp_path / "corpus.es", tmp_path / "corpus.ca",
+        workers=workers, clean_enabled=clean_enabled, out_dir=out,
+    )
+    config, errors = validate_config(cfg, env={})
+    assert errors == []
+    with pytest.raises(StageFailure) as failure:
+        run_pipeline(config)
+
+    stage, recorded, left = _UNWRITABLE[artifact]
+    message = f"[Errno 21] Is a directory: '{out / artifact}'"
+    stem, _, lang = artifact.partition(".")
+    if lang in ("es", "ca"):
+        message = f"writing parallel corpus to {out / stem}.es / {out / stem}.ca: {message}"
+    assert failure.value.stage == stage
+    assert str(failure.value.cause) == message
+    manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+    assert manifest["failed_stage"] == stage
+    assert [(s["name"], s["status"]) for s in manifest["stages"]] == [(name, "ok") for name in recorded] + [(stage, "failed")]
+    assert manifest["stages"][-1]["error"] == message
+    assert sorted(path.name for path in out.iterdir()) == sorted([artifact, "manifest.json", *left])
+
+
 _PEAK = """
 import sys
 from bitextkit.pipeline import run_pipeline, validate_config

@@ -62,18 +62,8 @@ def _dotted(node):
 
 
 def _modules(trees) -> set:
-    """The dotted names of the package's modules, less each that its
-    package's ``__init__.py`` hides by importing a name of the same name
-    (``bitextkit.metrics.ribes`` reads the function ``ribes``)."""
-    hidden = {
-        f"{_package_of(path)}.{alias.asname or alias.name}"
-        for path, tree in trees.items()
-        if path.name == "__init__.py"
-        for node in tree.body
-        if isinstance(node, ast.ImportFrom)
-        for alias in node.names
-    }
-    return {_module_of(path) for path in trees} - hidden
+    """The dotted names of the package's modules."""
+    return {_module_of(path) for path in trees}
 
 
 def _module_aliases(tree, package, modules: set) -> dict:
@@ -133,6 +123,37 @@ def test_every_public_name_is_used_outside_the_tests():
                 continue
             unused.append(f"{path.relative_to(PACKAGE)}::{node.name}")
     assert unused == [], f"public names that nothing outside the tests uses: {unused}"
+
+
+def _bound_names(statements) -> set:
+    """The names that ``statements`` bind in their own scope."""
+    bound = set()
+    for node in statements:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound.update(alias.asname or alias.name.partition(".")[0] for alias in node.names)
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            bound.add(node.name)
+        elif isinstance(node, ast.Assign):
+            bound.update(n.id for target in node.targets for n in ast.walk(target) if isinstance(n, ast.Name))
+    return bound
+
+
+def test_no_package_binds_the_name_of_its_own_submodule():
+    # After ``from .ribes import ribes`` in ``metrics/__init__.py``, the name
+    # ``bitextkit.metrics.ribes`` reads the function, and
+    # ``import bitextkit.metrics.ribes as m`` binds the function too.
+    trees, _ = _parse_package_and_demos()
+    modules = _modules(trees)
+    hiding = []
+    for path, tree in trees.items():
+        if path.name != "__init__.py":
+            continue
+        package = _package_of(path)
+        aliases = _module_aliases(tree, package, modules)
+        for name in _bound_names(tree.body):
+            if f"{package}.{name}" in modules and aliases.get(name) != f"{package}.{name}":
+                hiding.append(f"{path.relative_to(PACKAGE)}::{name}")
+    assert hiding == [], f"package names that hide a submodule of the same name: {hiding}"
 
 
 def _public_callables(tree):

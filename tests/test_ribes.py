@@ -5,8 +5,16 @@ import tracemalloc
 
 import pytest
 
-from bitextkit.metrics import ribes, ribes_corpus
-from bitextkit.metrics.ribes import DEFAULT_ALPHA, DEFAULT_BETA, RibesFold, RibesScore, normalized_kendall_tau, word_alignment
+from bitextkit.metrics import ribes_corpus
+from bitextkit.metrics.ribes import (
+    DEFAULT_ALPHA,
+    DEFAULT_BETA,
+    RibesFold,
+    RibesScore,
+    normalized_kendall_tau,
+    ribes,
+    word_alignment,
+)
 
 from oracles import ascending_fraction, distinct_word_alignment, ribes_alignment_rescan
 from synth import seed_lines

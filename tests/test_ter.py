@@ -1,18 +1,17 @@
-import importlib
 import random
 import time
 from collections import Counter
 
 import pytest
 
+import bitextkit.metrics.ter as ter_module
 from bitextkit.editdist import advance, edit_state, levenshtein
-from bitextkit.metrics import ter, ter_corpus
+from bitextkit.metrics import ter_corpus
 from bitextkit.metrics.ngrams import ngram_positions
+from bitextkit.metrics.ter import ter
 
 from oracles import edit_distance_matrix, ter_edits_greedy
 from synth import seed_lines
-
-ter_module = importlib.import_module("bitextkit.metrics.ter")
 
 
 def test_identity_zero_edits():

@@ -10,6 +10,7 @@ import sys
 from pathlib import Path
 
 from bitextkit.metrics import score_corpus
+from bitextkit.metrics.ter import ter
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -29,7 +30,6 @@ def test_every_traced_function_resolves():
 def test_ter_corpus_calls_the_traced_ter_once_per_segment(monkeypatch):
     # metrics.ter.seg_ms_p50 and seg_ms_tail are read off one metrics.ter.ter
     # span per segment; install() wraps the function wherever a module refers to it
-    ter = importlib.import_module("bitextkit.metrics.ter").ter
     calls = []
 
     def wrapper(*args, **kwargs):
