@@ -17,7 +17,7 @@ import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import islice
-from typing import BinaryIO, Callable, Iterable, Iterator, Optional, TextIO
+from typing import BinaryIO, Callable, Iterable, Iterator, Optional, Sequence, TextIO
 
 from .exceptions import EncodingError, LineCountMismatch, MalformedRow, UnwritableField
 
@@ -267,6 +267,10 @@ def write_tsv(pairs: Iterable[SentencePair], path) -> int:
     return count
 
 
+# Pairs that corpus_stats folds at a time.
+_STATS_CHUNK_PAIRS = 128
+
+
 class StatsFold:
     """``corpus_stats`` as a fold: ``add`` pairs as they come, then read
     ``stats()``. It holds the word types of each side, not the pairs."""
@@ -277,20 +281,17 @@ class StatsFold:
         self.types_source: set[str] = set()
         self.types_target: set[str] = set()
 
-    def add(self, pairs: Iterable[SentencePair]) -> None:
-        sentences = total_src = total_tgt = 0
-        types_src, types_tgt = self.types_source, self.types_target
-        for pair in pairs:
-            sentences += 1
-            src_tokens = pair.source.split()
-            tgt_tokens = pair.target.split()
-            total_src += len(src_tokens)
-            total_tgt += len(tgt_tokens)
-            types_src.update(src_tokens)
-            types_tgt.update(tgt_tokens)
-        self.sentences += sentences
-        self.words_source += total_src
-        self.words_target += total_tgt
+    def add(self, pairs: Sequence[SentencePair]) -> None:
+        """Fold a chunk of pairs. Each side of the chunk is joined with
+        spaces and split once: a space joins no two words, so that gives
+        the pairs' words in order."""
+        words_src = " ".join([pair.source for pair in pairs]).split()
+        words_tgt = " ".join([pair.target for pair in pairs]).split()
+        self.sentences += len(pairs)
+        self.words_source += len(words_src)
+        self.words_target += len(words_tgt)
+        self.types_source.update(words_src)
+        self.types_target.update(words_tgt)
 
     def stats(self) -> CorpusStats:
         total_src, total_tgt = self.words_source, self.words_target
@@ -310,5 +311,6 @@ def corpus_stats(pairs: Iterable[SentencePair]) -> CorpusStats:
     counted token by token.
     """
     fold = StatsFold()
-    fold.add(pairs)
+    for chunk in batched(pairs, _STATS_CHUNK_PAIRS):
+        fold.add(chunk)
     return fold.stats()

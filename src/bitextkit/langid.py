@@ -6,7 +6,8 @@ is a multinomial naive Bayes over the ``vocab_size`` most frequent n-grams
 of the training seeds, with add-alpha smoothing and line-count priors.
 Classification is deterministic: ties break by the model's language order.
 Evidence is computed for many texts at once, by walking a trie of the
-vocabulary (:class:`GramTrie`) one n-gram length at a time.
+vocabulary (:class:`GramTrie`) one n-gram length at a time over every
+text position.
 
 numpy is imported inside the functions that build arrays (the trie, the
 evidence walk, training, and the model's save and load), not at module
@@ -52,12 +53,12 @@ class LangIdModel:
     @cached_property
     def trie(self) -> "GramTrie":
         """The vocabulary as a trie, built on first use."""
-        return GramTrie(self.vocabulary, self.ngram_range)
+        return GramTrie(self.vocabulary, self.ngram_range, self.log_likelihood)
 
 
 class GramTrie:
     """The vocabulary's n-grams as a trie over symbol ids, walked one
-    n-gram length at a time over many texts at once.
+    n-gram length at a time over every position of many texts at once.
 
     Symbols number the sorted alphabet of the vocabulary's characters
     1..A; 0 stands for every other character and for the gap after each
@@ -65,10 +66,12 @@ class GramTrie:
     ``feature + 1``, prefixes outside the vocabulary get the nodes after
     those, and the dead node comes last. ``trans[offset[node] + symbol]``
     is the node one symbol on; nodes shorter than the longest gram have a
-    row of ``trans`` each, and all others share the dead row.
+    row of ``trans`` each, and all others share the dead row, so the dead
+    node absorbs every symbol. ``weights[lang, node]`` is the node's
+    log-likelihood, 0.0 for the root, prefix and dead nodes.
     """
 
-    def __init__(self, vocabulary: Mapping[str, int], ngram_range: tuple[int, int]):
+    def __init__(self, vocabulary: Mapping[str, int], ngram_range: tuple[int, int], log_likelihood: np.ndarray):
         import numpy as np
 
         self.min_n, self.max_n = ngram_range
@@ -83,9 +86,12 @@ class GramTrie:
                     node_of[gram[:k]] = extra
                     extra += 1
         self.dead = extra
-        # the alphabet's code points and, past them, one no code point equals
-        self.codes = np.array(sorted({ord(ch) for gram in grams for ch in gram}) + [0xFFFFFFFF], dtype=np.uint32)
-        base = len(self.codes)
+        # symbol of each code point up to the alphabet's largest, then a 0
+        # that every larger code point is clipped to
+        alphabet = sorted({ord(ch) for gram in grams for ch in gram})
+        self.lookup = np.zeros(max(alphabet, default=-1) + 2, dtype=np.int32)
+        self.lookup[alphabet] = np.arange(1, len(alphabet) + 1)
+        base = len(alphabet) + 1
 
         walked = np.fromiter((node for gram, node in node_of.items() if len(gram) < self.max_n), dtype=np.intp)
         size = (len(walked) + 1) * base
@@ -95,57 +101,59 @@ class GramTrie:
         count = len(node_of) - 1
         child = np.fromiter(node_of.values(), dtype=np.int32, count=count + 1)[1:]
         parent = np.fromiter((node_of[gram[:-1]] for gram in node_of if gram), dtype=np.intp, count=count)
-        last = np.fromiter((ord(gram[-1]) for gram in node_of if gram), dtype=np.uint32, count=count)
-        self.trans[self.offset[parent] + np.searchsorted(self.codes, last) + 1] = child
+        last = np.fromiter((ord(gram[-1]) for gram in node_of if gram), dtype=np.intp, count=count)
+        self.trans[self.offset[parent] + self.lookup[last]] = child
+        self.weights = np.zeros((len(log_likelihood), self.dead + 1))
+        self.weights[:, 1 : self.n_features + 1] = log_likelihood
 
     def _symbols(self, texts: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
         """The texts' symbols laid end to end, each text followed by a 0,
-        and the span of each text with its 0."""
+        then ``max_n - 1`` symbols of padding, and the span of each text
+        with its 0. Every walk reaches a 0, and with it the dead node,
+        before it reads the padding."""
         import numpy as np
 
         spans = np.fromiter(map(len, texts), dtype=np.intp, count=len(texts)) + 1
-        codes = np.frombuffer(("\0".join(texts) + "\0").encode("utf-32-le", "surrogatepass"), dtype="<u4")
-        at = np.searchsorted(self.codes, codes)
-        syms = (at + 1).astype(np.int32)
-        syms[self.codes[at] != codes] = 0
-        syms[np.cumsum(spans) - 1] = 0
+        codes = np.frombuffer(("\0".join(texts) + "\0" * self.max_n).encode("utf-32-le", "surrogatepass"), dtype="<u4")
+        syms = self.lookup[np.minimum(codes, len(self.lookup) - 1)]
+        syms[np.cumsum(spans) - 1] = 0  # where NUL is in the alphabet too
         return syms, spans
 
-    def evidence(
-        self, log_likelihood: np.ndarray, texts: Sequence[str], spaces: Optional[np.ndarray] = None
-    ) -> tuple[np.ndarray, np.ndarray]:
+    def evidence(self, texts: Sequence[str], spaces: Optional[np.ndarray] = None) -> tuple[np.ndarray, np.ndarray]:
         """Summed log-likelihoods of the vocabulary n-grams of each text,
         ``(n_texts, n_languages)``, and the mask of texts with any. With
         ``spaces``, only grams covering character ``spaces[i]`` of text i
-        count."""
+        count.
+
+        Each n-gram length is one step of every position's node, dead or
+        not: a gram that is not in the vocabulary, or that misses the
+        space, reads the dead node's 0.0. So each (text, language, length)
+        sum adds the grams' log-likelihoods in position order, and exact
+        zeros between them."""
         import numpy as np
 
         syms, spans = self._symbols(texts)
+        size = int(spans.sum())
         text_at = np.repeat(np.arange(len(texts)), spans)
-        pos = np.arange(len(syms), dtype=np.int32)
-        reach = None
+        gap = None
         if spaces is not None:
-            space = (np.cumsum(spans) - spans + spaces)[text_at]
-            pos = pos[pos <= space]
-            reach = space[pos]
-        state = np.zeros(len(pos), dtype=np.int32)
-        sums = np.zeros((len(log_likelihood), len(texts)))
-        has = np.zeros(len(texts), dtype=bool)
+            # how far each position lies before its text's space
+            gap = (np.cumsum(spans) - spans + spaces)[text_at] - np.arange(size)
+        state = np.zeros(size, dtype=np.int32)
+        sums = np.zeros((len(self.weights), len(texts)))
+        hit = np.zeros(size, dtype=bool)
         for n in range(1, self.max_n + 1):
-            state = self.trans[self.offset[state] + syms[pos + (n - 1)]]
-            alive = state != self.dead
-            pos, state = pos[alive], state[alive]
-            if reach is not None:
-                reach = reach[alive]
-            if n >= self.min_n:
-                hit = state <= self.n_features
-                if reach is not None:
-                    hit &= pos + (n - 1) >= reach
-                text_of = text_at[pos[hit]]
-                feats = state[hit] - 1
-                has[text_of] = True
-                for lang, row in enumerate(log_likelihood):
-                    sums[lang] += np.bincount(text_of, weights=row[feats], minlength=len(texts))
+            state = self.trans[self.offset[state] + syms[n - 1 : n - 1 + size]]
+            if n < self.min_n:
+                continue
+            node = state.astype(np.intp)
+            if gap is not None:
+                node[(gap < 0) | (gap >= n)] = self.dead
+            hit |= node <= self.n_features
+            for lang, row in enumerate(self.weights):
+                sums[lang] += np.bincount(text_at, weights=row[node], minlength=len(texts))
+        has = np.zeros(len(texts), dtype=bool)
+        has[text_at[hit]] = True
         return sums.T, has
 
 
@@ -245,7 +253,7 @@ def evidence(model: LangIdModel, texts: Sequence[str]) -> tuple[np.ndarray, np.n
     """Per-language log-likelihood evidence of each already-normalized text,
     as an ``(n_texts, n_languages)`` matrix, and a mask of the texts with
     at least one vocabulary n-gram (the others read 0)."""
-    return model.trie.evidence(model.log_likelihood, texts)
+    return model.trie.evidence(texts)
 
 
 def boundary_evidence(
@@ -260,7 +268,7 @@ def boundary_evidence(
     tails = [left[-keep:] if keep else "" for left in lefts]
     windows = [tail + " " + right[:keep] for tail, right in zip(tails, rights)]
     spaces = np.fromiter(map(len, tails), dtype=np.int32, count=len(tails))
-    return model.trie.evidence(model.log_likelihood, windows, spaces)
+    return model.trie.evidence(windows, spaces)
 
 
 def _log_softmax(raw: np.ndarray) -> np.ndarray:

@@ -144,7 +144,9 @@ def resolve_rules(lang: str, pair_other_lang: str | None = None, aggressive_hyph
 def _padded(line: str) -> str:
     """``line`` normalized to NFC, cleaned of control characters, its
     whitespace collapsed and padded with a space on either side."""
-    text = _JUNK.sub("", unicodedata.normalize("NFC", line))
+    text = unicodedata.normalize("NFC", line)
+    if not text.isprintable():  # every junk character is unprintable
+        text = _JUNK.sub("", text)
     # after the junk is gone, str.split's whitespace is exactly regex's \s
     return " " + " ".join(text.split()) + " "
 
@@ -247,6 +249,8 @@ def tokenize(text: str, rules: TokenizerRules) -> list:
 _RIGHT_PUNCT = regex.compile(r"^[,.?!:;%…\\}\])»›]+$")
 _LEFT_PUNCT = regex.compile(r"^[\[({«‹¿¡$]+$")
 _EN_CONTRACTION = regex.compile(rf"^'[{_ALPHA}]")
+# Searched in the last three characters of the text built so far: "$"
+# matches at the end and before a final LF, so no match starts earlier.
 _ENDS_ALNUM = regex.compile(rf"[{_ALNUM}]$")
 _CLITIC_END = regex.compile(rf"[{_ALPHA}]'$")
 _STARTS_ALPHA = regex.compile(rf"^[{_ALPHA}]")
@@ -282,11 +286,10 @@ def detokenize(tokens, rules: TokenizerRules) -> str:
         elif (
             apos_class == "right"
             and _EN_CONTRACTION.match(token)
-            and text
-            and _ENDS_ALNUM.search(text)
+            and _ENDS_ALNUM.search(text[-3:])
         ):
             attach_left = True
-        if apos_class == "left" and text and _CLITIC_END.search(text) and _STARTS_ALPHA.match(token):
+        if apos_class == "left" and _CLITIC_END.search(text[-3:]) and _STARTS_ALPHA.match(token):
             attach_left = True
 
         text += token if attach_left else pending + token

@@ -4,13 +4,17 @@ counted by naive list scans, edit distance by a full DP matrix (TER's
 greedy shift search rescores every candidate with one), rank correlation
 by all-pairs counting, RIBES alignment by rescanning both sides for every
 context window, Levenshtein by plain recursion, langid evidence by a
-Counter of each text's n-gram strings, one pair at a time, and Moses
-tokenization by every rule pass over one padded line at a time.
+Counter of each text's n-gram strings, one pair at a time, Moses
+tokenization by every rule pass over one padded line at a time,
+detokenization by searching the whole text built so far, and corpus
+statistics by splitting one pair at a time.
 
 The cognate oracles are the exception: they call the package's
 ``levenshtein`` (itself checked against the DP matrix here) on every word
 pair, one sentence at a time, and build its ``CognatePair`` and
 ``CognateReport``, so that what they check is the pruning and chunking.
+So is the compacted langid walk: it walks the package's ``GramTrie``, so
+that what it checks is how the package walks it.
 """
 
 import math
@@ -333,6 +337,64 @@ def langid_boundary_evidence_counter(model, left, right):
     return _evidence_from_counts(model, counts)
 
 
+def _trie_symbols_searched(trie, texts):
+    """The texts' symbols laid end to end, each text followed by a 0, by a
+    binary search of the trie's alphabet, and the span of each text with
+    its 0."""
+    alphabet = np.append(np.flatnonzero(trie.lookup), 0xFFFFFFFF).astype(np.uint32)
+    spans = np.fromiter(map(len, texts), dtype=np.intp, count=len(texts)) + 1
+    codes = np.frombuffer(("\0".join(texts) + "\0").encode("utf-32-le", "surrogatepass"), dtype="<u4")
+    at = np.searchsorted(alphabet, codes)
+    syms = (at + 1).astype(np.int32)
+    syms[alphabet[at] != codes] = 0
+    syms[np.cumsum(spans) - 1] = 0
+    syms[-1] = 0  # the final 0 of an empty list too, which no span ends at
+    return syms, spans
+
+
+def langid_walk_compacted(model, texts, spaces=None):
+    """``GramTrie.evidence`` as a walk that keeps, after each n-gram length,
+    only the positions still inside some vocabulary gram, and sums the
+    log-likelihoods of the vocabulary grams it hits, in position order."""
+    trie = model.trie
+    syms, spans = _trie_symbols_searched(trie, texts)
+    text_at = np.repeat(np.arange(len(texts)), spans)
+    pos = np.arange(len(syms), dtype=np.int32)
+    reach = None
+    if spaces is not None:
+        space = (np.cumsum(spans) - spans + spaces)[text_at]
+        pos = pos[pos <= space]
+        reach = space[pos]
+    state = np.zeros(len(pos), dtype=np.int32)
+    sums = np.zeros((len(model.log_likelihood), len(texts)))
+    has = np.zeros(len(texts), dtype=bool)
+    for n in range(1, trie.max_n + 1):
+        state = trie.trans[trie.offset[state] + syms[pos + (n - 1)]]
+        alive = state != trie.dead
+        pos, state = pos[alive], state[alive]
+        if reach is not None:
+            reach = reach[alive]
+        if n >= trie.min_n:
+            hit = state <= trie.n_features
+            if reach is not None:
+                hit &= pos + (n - 1) >= reach
+            text_of = text_at[pos[hit]]
+            feats = state[hit] - 1
+            has[text_of] = True
+            for lang, row in enumerate(model.log_likelihood):
+                sums[lang] += np.bincount(text_of, weights=row[feats], minlength=len(texts))
+    return sums.T, has
+
+
+def langid_boundary_walk_compacted(model, lefts, rights):
+    """``langid.boundary_evidence`` through ``langid_walk_compacted``."""
+    keep = model.ngram_range[1] - 1
+    tails = [left[-keep:] if keep else "" for left in lefts]
+    windows = [tail + " " + right[:keep] for tail, right in zip(tails, rights)]
+    spaces = np.fromiter(map(len, tails), dtype=np.int32, count=len(tails))
+    return langid_walk_compacted(model, windows, spaces)
+
+
 def clean_decide_counter(pair, model, mode):
     """One pair's cleaning decision as ``CleaningDecision.to_dict()`` would
     give it, and each (field, score vector) whose argmax set a predicted
@@ -470,3 +532,58 @@ def tokenize_per_line(text, rules):
         m = multidot_token.match(token)
         restored.append("." * int(m.group(1)) if m else token)
     return restored
+
+
+_RIGHT_PUNCT = regex.compile(r"^[,.?!:;%…\\}\])»›]+$")
+_LEFT_PUNCT = regex.compile(r"^[\[({«‹¿¡$]+$")
+_EN_CONTRACTION = regex.compile(rf"^'[{_ALPHA}]")
+_ENDS_ALNUM = regex.compile(rf"[{_ALNUM}]$")
+_CLITIC_END = regex.compile(rf"[{_ALPHA}]'$")
+_STARTS_ALPHA = regex.compile(rf"^[{_ALPHA}]")
+
+
+def detokenize_whole_prefix(tokens, rules):
+    """Moses-convention detokenization that searches the whole text built
+    so far, once per token, for the alphanumeric or clitic it ends in."""
+    text = ""
+    pending = ""
+    quote_parity = {}
+    for token in tokens:
+        attach_left = False
+        no_space_after = False
+        if _RIGHT_PUNCT.match(token):
+            attach_left = True
+        elif _LEFT_PUNCT.match(token):
+            no_space_after = True
+        elif token == "@-@":
+            token = "-"
+            attach_left = no_space_after = True
+        elif token in ("'", '"'):
+            count = quote_parity.get(token, 0)
+            quote_parity[token] = count + 1
+            if count % 2 == 0:
+                no_space_after = True
+            else:
+                attach_left = True
+        elif rules.apostrophe_class == "right" and _EN_CONTRACTION.match(token) and _ENDS_ALNUM.search(text):
+            attach_left = True
+        if rules.apostrophe_class == "left" and _CLITIC_END.search(text) and _STARTS_ALPHA.match(token):
+            attach_left = True
+        text += token if attach_left else pending + token
+        pending = "" if no_space_after else " "
+    return text
+
+
+def stats_fold_per_pair(pairs):
+    """Sentences, words of each side and word types of each side, counted
+    one pair at a time."""
+    sentences = words_src = words_tgt = 0
+    types_src, types_tgt = set(), set()
+    for pair in pairs:
+        sentences += 1
+        src, tgt = pair.source.split(), pair.target.split()
+        words_src += len(src)
+        words_tgt += len(tgt)
+        types_src.update(src)
+        types_tgt.update(tgt)
+    return sentences, words_src, words_tgt, types_src, types_tgt

@@ -1,13 +1,16 @@
 import os
+import random
 import stat
 import threading
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import stats_fold_per_pair
 
 from bitextkit.corpus_io import (
     SentencePair,
+    StatsFold,
     corpus_stats,
     read_lines,
     read_parallel,
@@ -257,6 +260,48 @@ class TestCorpusStats:
         base = corpus_stats(_pairs(*rows))
         shuffled = corpus_stats(_pairs(*[rows[i] for i in order]))
         assert shuffled == base
+
+    # whitespace that str.split cuts at, and word characters that it does not
+    SPLIT_AT = [
+        "\u0085", "\u2028", "\u2029", "\u00a0", "\u3000", "\x1c", "\x1d", "\x1e", "\x1f", "\t", "\x0b", "\x0c", "\r", " "
+    ]
+    WORDS = ["a", "b", "de", "la", "é", "e\u0301", "\u200b", "x\x00y", "\ufeff", "😀"]
+
+    def _gap(self, rng):
+        return "".join(rng.choice(self.SPLIT_AT) for _ in range(rng.randrange(1, 3)))
+
+    def _side(self, rng):
+        shape = rng.random()
+        if shape < 0.15:  # empty or whitespace alone
+            return self._gap(rng)[: rng.randrange(3)]
+        if shape < 0.3:
+            return rng.choice(self.WORDS)
+        words = [rng.choice(self.WORDS) for _ in range(rng.randrange(1, 6))]
+        head, tail = (self._gap(rng) if rng.random() < 0.5 else "" for _ in range(2))
+        return head + "".join(word + self._gap(rng) for word in words[:-1]) + words[-1] + tail
+
+    def _assert_fold_matches_per_pair(self, fold, pairs):
+        sentences, words_src, words_tgt, types_src, types_tgt = stats_fold_per_pair(pairs)
+        assert (fold.sentences, fold.words_source, fold.words_target) == (sentences, words_src, words_tgt)
+        assert (fold.types_source, fold.types_target) == (types_src, types_tgt)
+
+    def test_chunk_fold_matches_the_per_pair_fold(self):
+        rng = random.Random("stats-fold")
+        pairs = _pairs(*[(self._side(rng), self._side(rng)) for _ in range(3000)])
+        assert {min(len(p.source.split()), 2) for p in pairs} == {0, 1, 2}
+        fold, start = StatsFold(), 0
+        while start < len(pairs):
+            size = rng.choice([0, 1, 2, 7, 128, 300])
+            fold.add(pairs[start : start + size])
+            start += size
+        self._assert_fold_matches_per_pair(fold, pairs)
+        assert corpus_stats(iter(pairs)) == fold.stats()
+
+    def test_chunks_of_empty_and_single_token_sides(self):
+        for rows in ([("", "")], [("", " ")] * 3, [("a", "")], [("a", "a"), ("", "b")], [("\u2028", "x\u0085y")]):
+            fold = StatsFold()
+            fold.add(_pairs(*rows))
+            self._assert_fold_matches_per_pair(fold, _pairs(*rows))
 
     def test_ttr_bounds(self):
         stats = corpus_stats(_pairs(("a a a a", "b b c")))

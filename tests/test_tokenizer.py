@@ -1,13 +1,15 @@
 import random
 import sys
+import time
 import tracemalloc
+import unicodedata
 from pathlib import Path
 
 import pytest
 import regex
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import tokenize_per_line
+from oracles import detokenize_whole_prefix, tokenize_per_line
 from synth import seed_lines
 
 from bitextkit import tokenizer
@@ -271,3 +273,54 @@ def test_multidot_and_a_long_digit_run_allocates_nothing_large():
         tracemalloc.stop()
     assert got == ["see", word, "now", "..."]
     assert peak < 1_000_000
+
+
+def _padded_always_substituted(line: str) -> str:
+    text = tokenizer._JUNK.sub("", unicodedata.normalize("NFC", line))
+    return " " + " ".join(text.split()) + " "
+
+
+def test_padded_equals_junk_removal_on_every_control_character():
+    controls = [chr(cp) for cp in range(sys.maxunicode + 1) if unicodedata.category(chr(cp)) == "Cc"]
+    assert len(controls) == 65 and all(not ch.isprintable() for ch in controls)
+    assert all(not tokenizer._JUNK.match(ch) or ch in controls for ch in map(chr, range(0x80)))
+    for ch in controls:
+        for line in (ch, f"a{ch}b", f" {ch} ", f"e{ch}\u0301", f"{ch}{ch}la\u2028{ch}", f"de{ch}la casa"):
+            assert tokenizer._padded(line) == _padded_always_substituted(line), repr(line)
+    # the other unprintable characters of the BMP, which keep their place
+    for cp in range(0x10000):
+        if not chr(cp).isprintable():
+            line = f"a{chr(cp)}b \x00"
+            assert tokenizer._padded(line) == _padded_always_substituted(line), hex(cp)
+
+
+# tokens of each shape the detokenizer treats apart, and tokens ending in LF
+DETOK_TOKENS = [
+    "l'", "d'", "aigua", "'t", "'s", "don", "x\n", "l'\n", "'", '"', ",", ".", "(", "¿", "@-@", "1", "é", "'\n", "\n", "œ'"
+]
+
+
+@pytest.mark.parametrize("lang", ["es", "ca", "fr", "en", "pt"])
+def test_detokenize_equals_whole_prefix_search(lang):
+    rules = resolve_rules(lang)
+    rng = random.Random(f"detok:{lang}")
+    for _ in range(3000):
+        tokens = [rng.choice(DETOK_TOKENS) for _ in range(rng.randrange(8))]
+        assert detokenize(tokens, rules) == detokenize_whole_prefix(tokens, rules), tokens
+
+
+@pytest.mark.parametrize("lang, loop", [("ca", "de l' aigua"), ("fr", "de l' eau"), ("en", "don 't")])
+def test_detokenize_time_grows_linearly(lang, loop):
+    rules = resolve_rules(lang)
+
+    def best_of_3(n):
+        tokens = (loop.split() * n)[:n]
+        times = []
+        for _ in range(3):
+            start = time.perf_counter()
+            detokenize(tokens, rules)
+            times.append(time.perf_counter() - start)
+        return min(times)
+
+    # linear work takes about 4x from n to 4n tokens, quadratic about 16x
+    assert best_of_3(8000) / best_of_3(2000) < 8
