@@ -130,14 +130,14 @@ def _decide_chunk(pairs: Sequence[SentencePair], model: LangIdModel, mode: str) 
     # and adding 0.0 leaves the prior as it is.
     src_norm = [normalize_text(pairs[i].source) for i in live]
     tgt_norm = [normalize_text(pairs[i].target) for i in live]
-    side, _ = evidence(model, src_norm + tgt_norm)
+    side = evidence(model, src_norm + tgt_norm)
     ev_src, ev_tgt = side[: len(live)], side[len(live) :]
     prior = model.log_prior
     best_src = (prior + ev_src).argmax(axis=1).tolist()
     best_tgt = (prior + ev_tgt).argmax(axis=1).tolist()
     best_concat = None
     if mode in ("concat", "both"):
-        ev_boundary, _ = boundary_evidence(model, src_norm, tgt_norm)
+        ev_boundary = boundary_evidence(model, src_norm, tgt_norm)
         best_concat = (prior + ev_src + ev_tgt + ev_boundary).argmax(axis=1).tolist()
 
     languages = model.languages

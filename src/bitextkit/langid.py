@@ -7,7 +7,8 @@ of the training seeds, with add-alpha smoothing and line-count priors.
 Classification is deterministic: ties break by the model's language order.
 Evidence is computed for many texts at once, by walking a trie of the
 vocabulary (:class:`GramTrie`) one n-gram length at a time over every
-text position.
+text position. A text with no vocabulary n-gram has 0.0 evidence for
+every language, so the priors alone classify it.
 
 numpy is imported inside the functions that build arrays (the trie, the
 evidence walk, training, and the model's save and load), not at module
@@ -119,9 +120,9 @@ class GramTrie:
         syms[np.cumsum(spans) - 1] = 0  # where NUL is in the alphabet too
         return syms, spans
 
-    def evidence(self, texts: Sequence[str], spaces: Optional[np.ndarray] = None) -> tuple[np.ndarray, np.ndarray]:
+    def evidence(self, texts: Sequence[str], spaces: Optional[np.ndarray] = None) -> np.ndarray:
         """Summed log-likelihoods of the vocabulary n-grams of each text,
-        ``(n_texts, n_languages)``, and the mask of texts with any. With
+        ``(n_texts, n_languages)``; a text with none reads 0.0. With
         ``spaces``, only grams covering character ``spaces[i]`` of text i
         count.
 
@@ -141,7 +142,6 @@ class GramTrie:
             gap = (np.cumsum(spans) - spans + spaces)[text_at] - np.arange(size)
         state = np.zeros(size, dtype=np.int32)
         sums = np.zeros((len(self.weights), len(texts)))
-        hit = np.zeros(size, dtype=bool)
         for n in range(1, self.max_n + 1):
             state = self.trans[self.offset[state] + syms[n - 1 : n - 1 + size]]
             if n < self.min_n:
@@ -149,12 +149,9 @@ class GramTrie:
             node = state.astype(np.intp)
             if gap is not None:
                 node[(gap < 0) | (gap >= n)] = self.dead
-            hit |= node <= self.n_features
             for lang, row in enumerate(self.weights):
                 sums[lang] += np.bincount(text_at, weights=row[node], minlength=len(texts))
-        has = np.zeros(len(texts), dtype=bool)
-        has[text_at[hit]] = True
-        return sums.T, has
+        return sums.T
 
 
 @dataclass(frozen=True)
@@ -249,16 +246,15 @@ def train(
     )
 
 
-def evidence(model: LangIdModel, texts: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
+def evidence(model: LangIdModel, texts: Sequence[str]) -> np.ndarray:
     """Per-language log-likelihood evidence of each already-normalized text,
-    as an ``(n_texts, n_languages)`` matrix, and a mask of the texts with
-    at least one vocabulary n-gram (the others read 0)."""
+    as an ``(n_texts, n_languages)`` matrix. A text with no vocabulary
+    n-gram reads 0.0 in every column, so adding it to the priors leaves
+    them as they are."""
     return model.trie.evidence(texts)
 
 
-def boundary_evidence(
-    model: LangIdModel, lefts: Sequence[str], rights: Sequence[str]
-) -> tuple[np.ndarray, np.ndarray]:
+def boundary_evidence(model: LangIdModel, lefts: Sequence[str], rights: Sequence[str]) -> np.ndarray:
     """Evidence of the n-grams that straddle the space joining each pair of
     normalized texts: exactly the grams of ``left + " " + right`` counted
     by neither side alone. Returned as by :func:`evidence`."""
@@ -280,7 +276,7 @@ def _log_softmax(raw: np.ndarray) -> np.ndarray:
 
 def classify_lines(model: LangIdModel, texts: Sequence[str]) -> list[Prediction]:
     """``classify`` of each text, from one batched evidence walk over all."""
-    ev, _ = evidence(model, [normalize_text(text) for text in texts])
+    ev = evidence(model, [normalize_text(text) for text in texts])
     predictions = []
     for raw in model.log_prior + ev:
         posterior = _log_softmax(raw).tolist()

@@ -1,7 +1,7 @@
 """Moses-convention rule-based tokenizer and detokenizer.
 
 Implements the core rule set: punctuation separation, nonbreaking prefixes,
-multi-dot preservation, digit-internal punctuation protection, and
+runs of periods kept whole, digit-internal punctuation protection, and
 per-language apostrophe handling (clitic-attaching for French/Catalan,
 contraction-attaching for English, isolating otherwise). Languages without
 a bundled prefix list fall back to the rules of the language they are
@@ -54,15 +54,12 @@ _APOS_RULES = {
 }
 # The period that ends a word, and the first character of the next word on
 # its line, if there is one. In a padded chunk the only whitespace is the
-# space and the LF between lines.
-_PERIOD_END = regex.compile(r"\.(?= +([^ \n])?)")
+# space and the LF between lines. A period after a period ends a run of
+# periods, which is a token of its own.
+_PERIOD_END = regex.compile(r"(?<!\.)\.(?= +([^ \n])?)")
 _HAS_ALPHA = regex.compile(rf"[{_ALPHA}]")
 _STARTS_LOWER = regex.compile(r"^\p{Ll}")
 _STARTS_DIGIT = regex.compile(rf"^[{_NUM}]")
-
-# The multi-dot placeholder word is this tag and the run's length. The tag
-# does not overlap itself, and it is letters, which no rule splits or joins.
-_MULTIDOT_TAG = "MULTIDOT"
 
 _PREFIX_PACKAGE_DIR = "data/nonbreaking_prefixes"
 
@@ -151,16 +148,6 @@ def _padded(line: str) -> str:
     return " " + " ".join(text.split()) + " "
 
 
-def _free_tag(text: str, tag: str) -> str:
-    """``tag`` if it occurs nowhere in ``text``, else ``tag`` and more Q's
-    than follow any occurrence of it there. Every word that starts with the
-    returned tag is then a placeholder the tokenizer wrote: an input word
-    shaped like one tokenizes like any other word."""
-    if tag not in text:
-        return tag
-    return tag + "Q" * (max(len(run) for run in regex.findall(tag + "(Q*)", text)) + 1)
-
-
 def _split_periods(text: str, rules: TokenizerRules) -> str:
     """Split word-final periods from their word, except after nonbreaking
     prefixes, in words with an inner period and a letter, and before a
@@ -188,18 +175,6 @@ def _split_periods(text: str, rules: TokenizerRules) -> str:
     return " ".join([text[a:b] for a, b in zip(cuts, cuts[1:])])
 
 
-def _restore(tokens: list, multidot_tag: str) -> list:
-    """Tokens with each multi-dot placeholder replaced by its run of
-    periods. ``multidot_tag`` occurs nowhere in the input (see
-    ``_free_tag``), so every token that starts with it is a placeholder."""
-    restored = []
-    for token in tokens:
-        if token.startswith(multidot_tag):
-            token = "." * int(token[len(multidot_tag) :])
-        restored.append(token)
-    return restored
-
-
 def _tokenize_chunk(lines: Sequence[str], rules: TokenizerRules) -> list:
     texts = [_padded(line) for line in lines]
     # An LF inside a line is junk, so LF joins the lines unambiguously. Every
@@ -209,16 +184,14 @@ def _tokenize_chunk(lines: Sequence[str], rules: TokenizerRules) -> list:
     text = _SPECIALS.sub(r" \1 ", text)
     if rules.aggressive_hyphen:
         text = _AGGRESSIVE_HYPHEN.sub(r"\1 @-@ ", text)
-    multidot_tag = _free_tag(text, _MULTIDOT_TAG)
-    text = _MULTIDOT.sub(lambda m: f" {multidot_tag}{len(m.group(0))} ", text)
+    # a run of periods is one token: no comma, apostrophe or period rule
+    # reads a period of a run once spaces bound it
+    text = _MULTIDOT.sub(r" \g<0> ", text)
     for pattern, repl in _COMMA_RULES:
         text = pattern.sub(repl, text)
     for pattern, repl in _APOS_RULES[rules.apostrophe_class]:
         text = pattern.sub(repl, text)
-    segments = _split_periods(text, rules).split("\n")
-    if multidot_tag not in text:
-        return [segment.split() for segment in segments]
-    return [_restore(segment.split(), multidot_tag) for segment in segments]
+    return [segment.split() for segment in _split_periods(text, rules).split("\n")]
 
 
 def tokenize_lines(lines: Sequence[str], rules: TokenizerRules) -> list[list[str]]:

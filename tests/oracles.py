@@ -355,7 +355,8 @@ def _trie_symbols_searched(trie, texts):
 def langid_walk_compacted(model, texts, spaces=None):
     """``GramTrie.evidence`` as a walk that keeps, after each n-gram length,
     only the positions still inside some vocabulary gram, and sums the
-    log-likelihoods of the vocabulary grams it hits, in position order."""
+    log-likelihoods of the vocabulary grams it hits, in position order.
+    Also returns the mask of the texts with any vocabulary gram."""
     trie = model.trie
     syms, spans = _trie_symbols_searched(trie, texts)
     text_at = np.repeat(np.arange(len(texts)), spans)

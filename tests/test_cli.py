@@ -583,3 +583,34 @@ def test_usage_errors_exit_1_with_their_message(runner, tmp_path, corpus, args, 
         assert result.exit_code == 1
         assert result.stderr == f"error: {error}\n"
         assert sorted(p.name for p in Path(".").iterdir()) == []
+
+
+# Each bundled seed scored as a copy of the Spanish seed (``score --lang
+# es``), and its cognates with it on the ``tokenize --lang es`` sides: the
+# similar-language baseline of the paper's es-ca and es-pt systems, with
+# French for contrast. (bleu, ribes, ter, summary line, cognate pairs,
+# source words examined, cognate rate)
+COPY_BASELINE = {
+    "ca": (10.071568567081014, 0.753818181487321, 0.6372679045092838, "BLEU 10.07  RIBES 0.75  TER 0.64", 784, 1471, 0.5329707681849082),
+    "pt": (6.160600626221472, 0.6997910162138421, 0.7082228116710876, "BLEU 6.16  RIBES 0.70  TER 0.71", 816, 1557, 0.5240847784200385),
+    "fr": (0.0, 0.48310802859900104, 0.8524535809018567, "BLEU 0.00  RIBES 0.48  TER 0.85", 264, 1578, 0.16730038022813687),
+}
+
+
+@pytest.mark.parametrize("lang", sorted(COPY_BASELINE))
+def test_copy_baseline_against_the_spanish_seed(runner, tmp_path, lang):
+    bleu, ribes, ter, summary, pairs, examined, rate = COPY_BASELINE[lang]
+    seed, spanish = SEED_DIR / f"{lang}.txt", SEED_DIR / "es.txt"
+    scored = runner.invoke(cli, ["score", "--hyp", str(seed), "--ref", str(spanish), "--lang", "es"])
+    assert scored.exit_code == 0, scored.output
+    report = json.loads(scored.stdout)
+    assert (report["bleu"], report["ribes"], report["ter"]) == (bleu, ribes, ter)
+    assert scored.stderr == summary + "\n"
+
+    for path in (seed, spanish):
+        tokenized = runner.invoke(cli, ["tokenize", "--lang", "es", "--input", str(path), "--output", str(tmp_path / path.name)])
+        assert tokenized.exit_code == 0, tokenized.output
+    found = runner.invoke(cli, ["cognates", "--src", str(tmp_path / seed.name), "--ref", str(tmp_path / "es.txt")])
+    assert found.exit_code == 0, found.output
+    body = json.loads(found.stdout)
+    assert (body["cognate_pairs"], body["pairs_examined"], body["cognate_rate"]) == (pairs, examined, rate)

@@ -1,11 +1,12 @@
 import math
+import time
 
 import numpy as np
 import pytest
 
 from bitextkit.corpus_io import SentencePair
 from bitextkit.exceptions import EmptySeed, InsufficientLanguages, ModelFormatError, VersionMismatch
-from bitextkit.langid import classify, evidence, load_model, normalize_text, save_model, train
+from bitextkit.langid import classify, classify_lines, evidence, load_model, normalize_text, save_model, train
 
 TOY_SEEDS = {
     "aa": ["xxxx yyy xy xyx", "xy yx xxy yxx", "xyxyxy xxx yy"],
@@ -15,7 +16,7 @@ TOY_SEEDS = {
 
 def log_posteriors(model, text):
     """Log of the softmax-normalized per-language posterior of ``text``."""
-    raw = model.log_prior + evidence(model, [normalize_text(text)])[0][0]
+    raw = model.log_prior + evidence(model, [normalize_text(text)])[0]
     return raw - (raw.max() + np.log(np.exp(raw - raw.max()).sum()))
 
 
@@ -232,7 +233,24 @@ class TestFixtureModel:
         assert classify(fixture_model, pair.source + " " + pair.target).lang == "pt"
 
     def test_scores_shape(self, fixture_model):
-        ev, has = evidence(fixture_model, [normalize_text("hola amigo")])
+        ev = evidence(fixture_model, [normalize_text("hola amigo")])
         assert ev.shape == (1, 4)
         assert (fixture_model.log_prior + ev[0]).shape == (4,)
-        assert has.tolist() == [True]
+        assert ev[0].all()
+
+
+def test_classify_time_grows_linearly_in_the_line(fixture_model, seeds):
+    text = " ".join(seeds["ca"] + seeds["es"])
+
+    def best_of_3(chars):
+        line = (text * (chars // len(text) + 1))[:chars]
+        times = []
+        for _ in range(3):
+            start = time.perf_counter()
+            classify_lines(fixture_model, [line])
+            times.append(time.perf_counter() - start)
+        return min(times)
+
+    # linear work takes about 4x from n to 4n characters, quadratic about
+    # 16x; n is chosen so that 4n takes 50 ms or more on a 2-vCPU machine
+    assert best_of_3(400_000) / best_of_3(100_000) < 8

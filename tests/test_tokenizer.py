@@ -174,9 +174,10 @@ _FRAGMENTS = (
     "?", "!", "¿", "¡", "(", ")", "«", "»", '"', ":", ";", "%", "$", "/", "@", "&", "’", "…",
     "MULTIDOT3", "MULTIDOT12", "MULTIDOT", "THISISPROTECTED000", "THISISPROTECTED001", "THISISPROTECTED5",
     "Sr.", "Dr.", "pág.", "No.", "Art.", "etc.", "p.", "M.", "<a href='x'>", "<b>",
+    "a...b", "...'", "'...", ",..", "..,", "...-", "Sr..", "U.S..", "1...2", "x. ..", "MULTIDOT5", "MULTIDOTQ..",
     "casa", "Casa", "luego", "Luego", "42", "٣", "ñandú", "ÉCOLE", "l'aigua",
 )
-_SEPARATORS = ("", " ", " ", " ", "  ", "\t", "\n", "\u00a0", "\u2028", "\r")
+_SEPARATORS = ("", " ", " ", " ", "  ", "\t", "\n", "\u00a0", "\u2028", "\r", ".")
 
 
 def fuzz_lines(seed: int, count: int) -> list:
@@ -324,3 +325,37 @@ def test_detokenize_time_grows_linearly(lang, loop):
 
     # linear work takes about 4x from n to 4n tokens, quadratic about 16x
     assert best_of_3(8000) / best_of_3(2000) < 8
+
+
+# One long line of each adversarial shape, as (loop, repetitions in n),
+# with n chosen so that 4n takes 50 ms or more on a 2-vCPU machine.
+# Cognates, RIBES and TER are outside this check: cognate extraction
+# compares every source word with every target word by definition, and
+# RIBES and TER have growth checks of their own.
+GROWTH_SHAPES = {
+    "dot runs": ("a... b.. ", 10_000),
+    "apostrophes": ("l'aigua d'en don't qu' 'x ", 6_000),
+    "commas": ("a, b,c 1,000, ,d ", 6_000),
+    "quotes": ("\"cita\" 'x' «y» ", 6_000),
+    "prefixes": ("Sr. García pág. 12 etc. y Dr. Casa. ", 2_000),
+    "no spaces": ("l'a,b.c\"d...e-f", 6_000),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(GROWTH_SHAPES))
+@pytest.mark.parametrize("lang", ["ca", "en", "es"])
+def test_tokenize_time_grows_linearly_in_the_line(lang, shape):
+    rules = resolve_rules(lang)
+    loop, n = GROWTH_SHAPES[shape]
+
+    def best_of_3(repeats):
+        line = loop * repeats
+        times = []
+        for _ in range(3):
+            start = time.perf_counter()
+            tokenize_lines([line], rules)
+            times.append(time.perf_counter() - start)
+        return min(times)
+
+    # linear work takes about 4x from n to 4n, quadratic about 16x
+    assert best_of_3(4 * n) / best_of_3(n) < 8
