@@ -16,18 +16,12 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .corpus_io import SentencePair, batched
+from .corpus_io import _CHUNK_PAIRS, SentencePair, batched
 from .exceptions import IndexMismatch, UnknownLanguage
 from .langid import LangIdModel, boundary_evidence, evidence, normalize_text
 from .parallel import parallel_map
 
 MODES = ("per_side", "concat", "both")
-
-# Pairs decided together: enough that the n-gram walk runs on long arrays,
-# few enough that its temporary arrays stay under a megabyte (at most
-# 0.7 MB, as tracemalloc counts them, on the chunks of the prep
-# benchmark's 16,000 pairs).
-_CHUNK_PAIRS = 128
 
 
 class Reason(str, Enum):
@@ -118,61 +112,53 @@ def _init_worker(model: Optional[LangIdModel], mode: str) -> None:
     _WORKER_MODE = mode
 
 
+def _decide(pair: SentencePair, source: str, target: str, concat: Optional[str], mode: str) -> CleaningDecision:
+    """The decision on a pair whose sides were predicted as ``source`` and
+    ``target``, and their concatenation as ``concat`` (None in per_side
+    mode)."""
+    if concat is not None:
+        if concat not in (pair.src_lang, pair.tgt_lang):
+            return CleaningDecision(pair.index, False, Reason.CONCAT_MISMATCH, predicted_concat=concat)
+        if mode == "concat":
+            return CleaningDecision(pair.index, True, Reason.KEPT, predicted_concat=concat)
+    if source == target:
+        reason = Reason.SAME_LANGUAGE
+    elif source != pair.src_lang:
+        reason = Reason.SOURCE_MISMATCH
+    elif target != pair.tgt_lang:
+        reason = Reason.TARGET_MISMATCH
+    else:
+        reason = Reason.KEPT
+    return CleaningDecision(pair.index, reason is Reason.KEPT, reason, source, target, concat)
+
+
 def _decide_chunk(pairs: Sequence[SentencePair], model: LangIdModel, mode: str) -> list:
     """Decide a chunk of pairs from two batched evidence computations: one
     over both sides of every pair, one over the spaces joining them."""
-    decisions = [CleaningDecision(pair.index, False, Reason.EMPTY_SIDE) for pair in pairs]
-    live = [i for i, pair in enumerate(pairs) if pair.source.strip() and pair.target.strip()]
+    live = [bool(pair.source.strip() and pair.target.strip()) for pair in pairs]
+    src_norm = [normalize_text(pair.source) for pair, ok in zip(pairs, live) if ok]
+    tgt_norm = [normalize_text(pair.target) for pair, ok in zip(pairs, live) if ok]
 
     # The concatenation's n-gram counts are exactly the per-side counts plus
     # the grams straddling the joining space, so one extraction per side
     # serves both the concat and the per-side checks. No evidence reads 0,
     # and adding 0.0 leaves the prior as it is.
-    src_norm = [normalize_text(pairs[i].source) for i in live]
-    tgt_norm = [normalize_text(pairs[i].target) for i in live]
     side = evidence(model, src_norm + tgt_norm)
-    ev_src, ev_tgt = side[: len(live)], side[len(live) :]
+    ev_src, ev_tgt = side[: len(src_norm)], side[len(src_norm) :]
     prior = model.log_prior
-    best_src = (prior + ev_src).argmax(axis=1).tolist()
-    best_tgt = (prior + ev_tgt).argmax(axis=1).tolist()
-    best_concat = None
+    languages = model.languages
+    best_src = [languages[i] for i in (prior + ev_src).argmax(axis=1).tolist()]
+    best_tgt = [languages[i] for i in (prior + ev_tgt).argmax(axis=1).tolist()]
+    best_concat = [None] * len(src_norm)
     if mode in ("concat", "both"):
         ev_boundary = boundary_evidence(model, src_norm, tgt_norm)
-        best_concat = (prior + ev_src + ev_tgt + ev_boundary).argmax(axis=1).tolist()
+        best_concat = [languages[i] for i in (prior + ev_src + ev_tgt + ev_boundary).argmax(axis=1).tolist()]
 
-    languages = model.languages
-    for row, i in enumerate(live):
-        pair = pairs[i]
-        predicted_concat = None
-        if best_concat is not None:
-            predicted_concat = languages[best_concat[row]]
-            if predicted_concat not in (pair.src_lang, pair.tgt_lang):
-                decisions[i] = CleaningDecision(
-                    pair.index, False, Reason.CONCAT_MISMATCH, predicted_concat=predicted_concat
-                )
-                continue
-            if mode == "concat":
-                decisions[i] = CleaningDecision(pair.index, True, Reason.KEPT, predicted_concat=predicted_concat)
-                continue
-        predicted_source = languages[best_src[row]]
-        predicted_target = languages[best_tgt[row]]
-        if predicted_source == predicted_target:
-            reason = Reason.SAME_LANGUAGE
-        elif predicted_source != pair.src_lang:
-            reason = Reason.SOURCE_MISMATCH
-        elif predicted_target != pair.tgt_lang:
-            reason = Reason.TARGET_MISMATCH
-        else:
-            reason = Reason.KEPT
-        decisions[i] = CleaningDecision(
-            pair.index,
-            reason is Reason.KEPT,
-            reason,
-            predicted_source=predicted_source,
-            predicted_target=predicted_target,
-            predicted_concat=predicted_concat,
-        )
-    return decisions
+    predicted = zip(best_src, best_tgt, best_concat)
+    return [
+        _decide(pair, *next(predicted), mode) if ok else CleaningDecision(pair.index, False, Reason.EMPTY_SIDE)
+        for pair, ok in zip(pairs, live)
+    ]
 
 
 def _decide_in_worker(pairs: Sequence[SentencePair]) -> list:

@@ -7,8 +7,9 @@ of the training seeds, with add-alpha smoothing and line-count priors.
 Classification is deterministic: ties break by the model's language order.
 Evidence is computed for many texts at once, by walking a trie of the
 vocabulary (:class:`GramTrie`) one n-gram length at a time over every
-text position. A text with no vocabulary n-gram has 0.0 evidence for
-every language, so the priors alone classify it.
+text position, with texts of similar length side by side. A text with no
+vocabulary n-gram has 0.0 evidence for every language, so the priors alone
+classify it.
 
 numpy is imported inside the functions that build arrays (the trie, the
 evidence walk, training, and the model's save and load), not at module
@@ -62,14 +63,17 @@ class GramTrie:
     n-gram length at a time over every position of many texts at once.
 
     Symbols number the sorted alphabet of the vocabulary's characters
-    1..A; 0 stands for every other character and for the gap after each
-    text, and leads to the dead node. A vocabulary gram is node
+    1..A; 0 stands for every other character and for the padding after
+    each text, and leads to the dead node. A vocabulary gram is node
     ``feature + 1``, prefixes outside the vocabulary get the nodes after
     those, and the dead node comes last. ``trans[offset[node] + symbol]``
     is the node one symbol on; nodes shorter than the longest gram have a
     row of ``trans`` each, and all others share the dead row, so the dead
     node absorbs every symbol. ``weights[lang, node]`` is the node's
     log-likelihood, 0.0 for the root, prefix and dead nodes.
+
+    A walk lays texts of similar length side by side, one column each, in
+    a (positions x texts) array padded with symbol 0.
     """
 
     def __init__(self, vocabulary: Mapping[str, int], ngram_range: tuple[int, int], log_likelihood: np.ndarray):
@@ -92,11 +96,14 @@ class GramTrie:
         alphabet = sorted({ord(ch) for gram in grams for ch in gram})
         self.lookup = np.zeros(max(alphabet, default=-1) + 2, dtype=np.int32)
         self.lookup[alphabet] = np.arange(1, len(alphabet) + 1)
+        # the first character outside the alphabet pads the texts: NUL,
+        # unless NUL is in the alphabet
+        self.pad = chr(int(np.argmin(self.lookup != 0)))
         base = len(alphabet) + 1
 
         walked = np.fromiter((node for gram, node in node_of.items() if len(gram) < self.max_n), dtype=np.intp)
         size = (len(walked) + 1) * base
-        self.offset = np.full(self.dead + 1, len(walked) * base, dtype=np.int32 if size < 2**31 else np.int64)
+        self.offset = np.full(self.dead + 1, len(walked) * base, dtype=np.intp)
         self.offset[walked] = np.arange(len(walked)) * base
         self.trans = np.full(size, self.dead, dtype=np.int32)
         count = len(node_of) - 1
@@ -107,51 +114,77 @@ class GramTrie:
         self.weights = np.zeros((len(log_likelihood), self.dead + 1))
         self.weights[:, 1 : self.n_features + 1] = log_likelihood
 
-    def _symbols(self, texts: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
-        """The texts' symbols laid end to end, each text followed by a 0,
-        then ``max_n - 1`` symbols of padding, and the span of each text
-        with its 0. Every walk reaches a 0, and with it the dead node,
-        before it reads the padding."""
-        import numpy as np
-
-        spans = np.fromiter(map(len, texts), dtype=np.intp, count=len(texts)) + 1
-        codes = np.frombuffer(("\0".join(texts) + "\0" * self.max_n).encode("utf-32-le", "surrogatepass"), dtype="<u4")
-        syms = self.lookup[np.minimum(codes, len(self.lookup) - 1)]
-        syms[np.cumsum(spans) - 1] = 0  # where NUL is in the alphabet too
-        return syms, spans
-
     def evidence(self, texts: Sequence[str], spaces: Optional[np.ndarray] = None) -> np.ndarray:
         """Summed log-likelihoods of the vocabulary n-grams of each text,
         ``(n_texts, n_languages)``; a text with none reads 0.0. With
         ``spaces``, only grams covering character ``spaces[i]`` of text i
         count.
 
-        Each n-gram length is one step of every position's node, dead or
-        not: a gram that is not in the vocabulary, or that misses the
-        space, reads the dead node's 0.0. So each (text, language, length)
-        sum adds the grams' log-likelihoods in position order, and exact
-        zeros between them."""
+        Texts are sorted by length, longest first, and cut into groups in
+        which padding to the group's longest text at most doubles the
+        positions walked. Each n-gram length is one step of every
+        position's node, dead or not: a gram that is not in the
+        vocabulary, that misses the space, or that starts in the padding
+        reads the dead node's 0.0. numpy sums a (positions x texts) array
+        down its columns one row at a time, so each (text, language,
+        length) sum adds the grams' log-likelihoods in position order, and
+        exact zeros between them. A group of one text gets a spare column
+        of padding, since numpy sums a single column pairwise."""
         import numpy as np
 
-        syms, spans = self._symbols(texts)
-        size = int(spans.sum())
-        text_at = np.repeat(np.arange(len(texts)), spans)
+        sums = np.zeros((len(texts), len(self.weights)))
+        lengths = np.fromiter(map(len, texts), dtype=np.intp, count=len(texts))
+        order = np.argsort(-lengths, kind="stable")
+        ordered = lengths[order]
+        before = np.cumsum(ordered) - ordered  # the positions of the longer texts
+        start = 0
+        while start < len(order) and ordered[start]:
+            # twice the positions less the padded positions, as the group
+            # takes one text more: it rises while a text is over half the
+            # longest and falls after, so the first negative one ends it
+            real = before[start:] - before[start] + ordered[start:]
+            slack = 2 * real - ordered[start] * np.arange(1, len(real) + 1)
+            end = start + int(np.argmax(slack < 0)) if slack[-1] < 0 else len(order)
+            group = order[start:end]
+            sums[group] = self._walk([texts[i] for i in group.tolist()], None if spaces is None else spaces[group])
+            start = end
+        return sums
+
+    def _walk(self, texts: list, spaces: Optional[np.ndarray]) -> np.ndarray:
+        """``evidence`` of one group of texts, longest first."""
+        import numpy as np
+
+        longest, count = len(texts[0]), len(texts)
+        rows = longest + self.max_n - 1
+        codes = "".join([text.ljust(rows, self.pad) for text in texts]).encode("utf-32-le", "surrogatepass")
+        codes = np.frombuffer(codes, dtype="<u4").reshape(count, rows)
+        syms = np.zeros((rows, count + (count == 1)), dtype=np.int32)
+        syms[:, :count] = self.lookup[np.minimum(codes, len(self.lookup) - 1)].T
+        del codes
         gap = None
         if spaces is not None:
             # how far each position lies before its text's space
-            gap = (np.cumsum(spans) - spans + spaces)[text_at] - np.arange(size)
-        state = np.zeros(size, dtype=np.int32)
-        sums = np.zeros((len(self.weights), len(texts)))
+            gap = np.zeros(syms.shape[1], dtype=np.intp)
+            gap[:count] = spaces
+            gap = gap - np.arange(longest)[:, None]
+        node = np.zeros((longest, syms.shape[1]), dtype=np.intp)
+        sums = np.zeros((len(self.weights), syms.shape[1]))
         for n in range(1, self.max_n + 1):
-            state = self.trans[self.offset[state] + syms[n - 1 : n - 1 + size]]
+            # no more than two position-sized intp arrays live at a time
+            step = self.offset[node]
+            del node
+            step += syms[n - 1 : n - 1 + longest]
+            node = self.trans[step]
+            del step
+            node = node.astype(np.intp)
             if n < self.min_n:
                 continue
-            node = state.astype(np.intp)
+            hit = node
             if gap is not None:
-                node[(gap < 0) | (gap >= n)] = self.dead
+                hit = np.where((gap < 0) | (gap >= n), self.dead, node)
             for lang, row in enumerate(self.weights):
-                sums[lang] += np.bincount(text_at, weights=row[node], minlength=len(texts))
-        return sums.T
+                sums[lang] += np.take(row, hit).sum(axis=0)
+        return sums[:, :count].T
 
 
 @dataclass(frozen=True)

@@ -41,10 +41,10 @@ from pathlib import Path
 from typing import Optional
 
 from . import __version__
-from .cleaner import _CHUNK_PAIRS, MODES, CleaningReport, clean_chunks, report_body
+from .cleaner import MODES, CleaningReport, clean_chunks, report_body
 from .cognates import CognateReport
 from .corpus_io import (
-    SentencePair,
+    _CHUNK_PAIRS,
     StatsFold,
     atomic_write,
     batched,
@@ -58,7 +58,7 @@ from .exceptions import BitextError, EmptyCorpus, LineCountMismatch
 from .langid import load_model
 from .metrics.report import ScoreFold
 from .parallel import parallel_map
-from .tokenizer import resolve_rules, tokenize_lines
+from .tokenizer import resolve_rules, tokenize_joined
 
 ENV_PREFIX = "BITEXTKIT_"
 
@@ -330,12 +330,9 @@ def _run_prep(config: PipelineConfig, out: Path, manifest: _Manifest) -> None:
                         with _stage("stats_after"):
                             after.add(kept)
                         with _stage("tokenize"):
-                            sources = tokenize_lines([p.source for p in kept], rules_src)
-                            targets = tokenize_lines([p.target for p in kept], rules_tgt)
-                            write_tokenized(
-                                SentencePair(p.index, " ".join(source), " ".join(target), p.src_lang, p.tgt_lang)
-                                for p, source, target in zip(kept, sources, targets)
-                            )
+                            sources = tokenize_joined([p.source for p in kept], rules_src)
+                            targets = tokenize_joined([p.target for p in kept], rules_tgt)
+                            write_tokenized(kept, (sources, targets))
                             del sources, targets  # not kept while the next chunk is decided
                 report_path = _write_report(out / "cleaning_report.json", config, report_body(report, model))
                 manifest.record("clean", inputs + ([config.model] if config.clean_enabled else []), [*cleaned, report_path])

@@ -175,7 +175,9 @@ def _split_periods(text: str, rules: TokenizerRules) -> str:
     return " ".join([text[a:b] for a, b in zip(cuts, cuts[1:])])
 
 
-def _tokenize_chunk(lines: Sequence[str], rules: TokenizerRules) -> list:
+def _tokenize_chunk(lines: Sequence[str], rules: TokenizerRules) -> str:
+    """The lines padded, joined with LF and run through every rule: each
+    line's tokens, with runs of spaces between them."""
     texts = [_padded(line) for line in lines]
     # An LF inside a line is junk, so LF joins the lines unambiguously. Every
     # line starts and ends with a space, so no rule's match or context
@@ -191,7 +193,14 @@ def _tokenize_chunk(lines: Sequence[str], rules: TokenizerRules) -> list:
         text = pattern.sub(repl, text)
     for pattern, repl in _APOS_RULES[rules.apostrophe_class]:
         text = pattern.sub(repl, text)
-    return [segment.split() for segment in _split_periods(text, rules).split("\n")]
+    return _split_periods(text, rules)
+
+
+def _segments(lines: Sequence[str], rules: TokenizerRules) -> Iterator[str]:
+    """Each line's tokens with runs of spaces between them, from one rule
+    pass per ``_CHUNK_LINES`` lines."""
+    for start in range(0, len(lines), _CHUNK_LINES):
+        yield from _tokenize_chunk(lines[start : start + _CHUNK_LINES], rules).split("\n")
 
 
 def tokenize_lines(lines: Sequence[str], rules: TokenizerRules) -> list[list[str]]:
@@ -201,10 +210,13 @@ def tokenize_lines(lines: Sequence[str], rules: TokenizerRules) -> list[list[str
     a time is joined with LF, so that each rule runs once per chunk. A
     line's tokens do not depend on the other lines or on the chunk size.
     """
-    tokens: list = []
-    for start in range(0, len(lines), _CHUNK_LINES):
-        tokens += _tokenize_chunk(lines[start : start + _CHUNK_LINES], rules)
-    return tokens
+    return [segment.split() for segment in _segments(lines, rules)]
+
+
+def tokenize_joined(lines: Sequence[str], rules: TokenizerRules) -> list[str]:
+    """``tokenize_lines`` with each line's tokens joined by single spaces,
+    as a tokenized corpus is written."""
+    return [" ".join(segment.split()) for segment in _segments(lines, rules)]
 
 
 def tokenize_stream(lines: Iterable[str], rules: TokenizerRules) -> Iterator[list[str]]:

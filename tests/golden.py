@@ -31,7 +31,7 @@ from pathlib import Path
 from click.testing import CliRunner
 from synth import seed_lines, spliced, synthetic_noisy_corpus
 
-from bitextkit import cleaner, evaluation, parallel, pipeline, tokenizer
+from bitextkit import cleaner, corpus_io, evaluation, parallel, pipeline, tokenizer
 from bitextkit.cli import cli
 from bitextkit.langid import save_model, train
 from bitextkit.pipeline import run_pipeline, validate_config
@@ -142,8 +142,12 @@ def _write_eval(root: Path, name: str, pairs: list, hyps: list) -> None:
 
 @contextmanager
 def patched_chunks(size):
-    """Every chunk constant set to ``size`` (kept as it is for None)."""
+    """Every chunk constant set to ``size`` (kept as it is for None). At 1
+    and 7 bytes, ``_READ_BLOCK`` cuts multi-byte characters, and the lines
+    with a CR inside, across blocks."""
     targets = [
+        (corpus_io, "_READ_BLOCK"),
+        (corpus_io, "_CHUNK_PAIRS"),
         (cleaner, "_CHUNK_PAIRS"),
         (pipeline, "_CHUNK_PAIRS"),
         (evaluation, "EVAL_CHUNK"),

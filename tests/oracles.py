@@ -6,15 +6,17 @@ by all-pairs counting, RIBES alignment by rescanning both sides for every
 context window, Levenshtein by plain recursion, langid evidence by a
 Counter of each text's n-gram strings, one pair at a time, Moses
 tokenization by every rule pass over one padded line at a time,
-detokenization by searching the whole text built so far, and corpus
-statistics by splitting one pair at a time.
+detokenization by searching the whole text built so far, corpus
+statistics by splitting one pair at a time, a UTF-8 stream by decoding one
+line at a time, and a parallel corpus by writing one pair at a time.
 
 The cognate oracles are the exception: they call the package's
 ``levenshtein`` (itself checked against the DP matrix here) on every word
 pair, one sentence at a time, and build its ``CognatePair`` and
 ``CognateReport``, so that what they check is the pruning and chunking.
-So is the compacted langid walk: it walks the package's ``GramTrie``, so
-that what it checks is how the package walks it.
+So are the compacted and the bincount langid walks: they walk the
+package's ``GramTrie``, so that what they check is how the package walks
+it.
 """
 
 import math
@@ -387,6 +389,43 @@ def langid_walk_compacted(model, texts, spaces=None):
     return sums.T, has
 
 
+def langid_walk_bincount(model, texts, spaces=None):
+    """``GramTrie.evidence`` as a walk over every position of the texts laid
+    end to end, each followed by a 0, that sums each (text, language,
+    length) with a weighted ``np.bincount`` by text."""
+    trie = model.trie
+    codes = np.frombuffer(("\0".join(texts) + "\0" * trie.max_n).encode("utf-32-le", "surrogatepass"), dtype="<u4")
+    syms = trie.lookup[np.minimum(codes, len(trie.lookup) - 1)]
+    spans = np.fromiter(map(len, texts), dtype=np.intp, count=len(texts)) + 1
+    syms[np.cumsum(spans) - 1] = 0  # where NUL is in the alphabet too
+    size = int(spans.sum())
+    text_at = np.repeat(np.arange(len(texts)), spans)
+    gap = None
+    if spaces is not None:
+        gap = (np.cumsum(spans) - spans + spaces)[text_at] - np.arange(size)
+    state = np.zeros(size, dtype=np.intp)
+    sums = np.zeros((len(trie.weights), len(texts)))
+    for n in range(1, trie.max_n + 1):
+        state = trie.trans[trie.offset[state] + syms[n - 1 : n - 1 + size]]
+        if n < trie.min_n:
+            continue
+        node = state.astype(np.intp)
+        if gap is not None:
+            node[(gap < 0) | (gap >= n)] = trie.dead
+        for lang, row in enumerate(trie.weights):
+            sums[lang] += np.bincount(text_at, weights=row[node], minlength=len(texts))
+    return sums.T
+
+
+def langid_boundary_walk_bincount(model, lefts, rights):
+    """``langid.boundary_evidence`` through ``langid_walk_bincount``."""
+    keep = model.ngram_range[1] - 1
+    tails = [left[-keep:] if keep else "" for left in lefts]
+    windows = [tail + " " + right[:keep] for tail, right in zip(tails, rights)]
+    spaces = np.fromiter(map(len, tails), dtype=np.int32, count=len(tails))
+    return langid_walk_bincount(model, windows, spaces)
+
+
 def langid_boundary_walk_compacted(model, lefts, rights):
     """``langid.boundary_evidence`` through ``langid_walk_compacted``."""
     keep = model.ngram_range[1] - 1
@@ -588,3 +627,41 @@ def stats_fold_per_pair(pairs):
         types_src.update(src)
         types_tgt.update(tgt)
     return sentences, words_src, words_tgt, types_src, types_tgt
+
+
+def decode_lines_per_line(stream):
+    """Lines of a binary UTF-8 stream, read and decoded one line at a time:
+    the LF and then one CR are stripped from each, and invalid UTF-8 raises
+    EncodingError with the offset of the line plus the offset in it."""
+    from bitextkit.exceptions import EncodingError
+
+    offset = 0
+    for raw in stream:
+        try:
+            line = raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise EncodingError(getattr(stream, "name", "<stream>"), offset + exc.start, exc.reason) from exc
+        offset += len(raw)
+        if line.endswith("\n"):
+            line = line[:-1]
+        if line.endswith("\r"):
+            line = line[:-1]
+        yield line
+
+
+def parallel_bytes_per_pair(pairs):
+    """The two files' bytes that pairs are written as, one pair at a time,
+    each pair checked before it is written: UnwritableField for the first
+    side with an LF or a trailing CR."""
+    from bitextkit.exceptions import UnwritableField
+
+    source, target = [], []
+    for pair in pairs:
+        for side, text in (("source", pair.source), ("target", pair.target)):
+            if "\n" in text:
+                raise UnwritableField(pair.index, side, "contains a line feed")
+            if text.endswith("\r"):
+                raise UnwritableField(pair.index, side, "ends in a carriage return")
+        source.append(pair.source + "\n")
+        target.append(pair.target + "\n")
+    return "".join(source).encode("utf-8"), "".join(target).encode("utf-8")

@@ -1,10 +1,12 @@
 import math
 import random
+import time
 
 import pytest
 
 from bitextkit.exceptions import EmptyCorpus, LineCountMismatch
 from bitextkit.metrics import bleu_corpus, bleu_sentence
+from bitextkit.metrics.bleu import segment_stats
 
 from oracles import bleu_brute
 
@@ -129,3 +131,28 @@ def test_clipped_counts_equal_oracle_on_repetitive_segments():
         mine = bleu_corpus([hyp], [refs])
         assert list(mine.precisions) == expected_ps, (hyp, refs)
         assert mine.bleu == expected_bleu
+
+
+def _best_of_3(call) -> float:
+    times = []
+    for _ in range(3):
+        start = time.perf_counter()
+        call()
+        times.append(time.perf_counter() - start)
+    return min(times)
+
+
+def _repeated(items, n):
+    return (items * (n // len(items) + 1))[:n]
+
+
+def test_segment_stats_time_grows_linearly_in_the_segment(seeds):
+    es, ca = " ".join(seeds["es"]).split(), " ".join(seeds["ca"]).split()
+
+    def stats(tokens):
+        hyp, ref = _repeated(es, tokens), _repeated(ca, tokens)
+        return _best_of_3(lambda: segment_stats(hyp, [ref]))
+
+    # linear work takes about 4x from n to 4n tokens, quadratic about 16x;
+    # 4n takes 0.1 s or more on a 2-vCPU machine
+    assert stats(40_000) / stats(10_000) < 8

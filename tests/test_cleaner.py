@@ -1,3 +1,5 @@
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -233,3 +235,28 @@ class TestAuditTable:
         result = clean(pairs, fixture_model, mode="per_side", keep_decisions=True)
         table = audit_table(result.report.decisions, pairs, fmt="text")
         assert "reason" in table.splitlines()[0]
+
+
+def _best_of_3(call) -> float:
+    times = []
+    for _ in range(3):
+        start = time.perf_counter()
+        call()
+        times.append(time.perf_counter() - start)
+    return min(times)
+
+
+def _repeated(items, n):
+    return (items * (n // len(items) + 1))[:n]
+
+
+def test_clean_time_grows_linearly_in_the_pair(fixture_model, seeds):
+    es, ca = " ".join(seeds["es"]), " ".join(seeds["ca"])
+
+    def clean_one(chars):
+        pair = SentencePair(0, _repeated(es, chars), _repeated(ca, chars), "es", "ca")
+        return _best_of_3(lambda: clean([pair], fixture_model))
+
+    # linear work takes about 4x from n to 4n characters a side, quadratic
+    # about 16x; 4n takes 0.1 s or more on a 2-vCPU machine
+    assert clean_one(400_000) / clean_one(100_000) < 8

@@ -1,4 +1,5 @@
 import random
+import time
 import unicodedata
 
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from bitextkit import cognates as cognates_module
 from bitextkit import evaluation
 from bitextkit.cognates import (
+    CognatePair,
     _WordTable,
     _within,
     count_examined,
@@ -455,3 +457,32 @@ class TestLowerBounds:
         )
         assert 0 < len(calls) < comparisons / 4
         assert found == cognates_per_pair(pairs, 0.3, 4)
+
+
+def _best_of_3(call) -> float:
+    times = []
+    for _ in range(3):
+        start = time.perf_counter()
+        call()
+        times.append(time.perf_counter() - start)
+    return min(times)
+
+
+def _repeated(items, n):
+    return (items * (n // len(items) + 1))[:n]
+
+
+def test_preservation_time_grows_linearly_in_the_sentence(seeds):
+    # every target word is in the system sentence: one that is not is
+    # compared with every token by definition, as extraction compares
+    # every word pair
+    words = " ".join(seeds["ca"]).split()
+
+    def preserved(tokens):
+        system = _repeated(words, tokens)
+        found = [CognatePair(word, word, 0, 0.0, 0, i, i) for i, word in enumerate(system)]
+        return _best_of_3(lambda: preservation(found, [system], 0.3, examined=tokens))
+
+    # linear work takes about 4x from n to 4n tokens, quadratic about 16x;
+    # 4n takes 0.1 s or more on a 2-vCPU machine
+    assert preserved(400_000) / preserved(100_000) < 8
