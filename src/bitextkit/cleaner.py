@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .corpus_io import _CHUNK_PAIRS, SentencePair, batched
+from .corpus_io import _CHUNK, SentencePair, batched
 from .exceptions import IndexMismatch, UnknownLanguage
 from .langid import LangIdModel, boundary_evidence, evidence, normalize_text
 from .parallel import parallel_map
@@ -166,23 +166,23 @@ def _decide_in_worker(pairs: Sequence[SentencePair]) -> list:
 
 
 class _Chunks:
-    """``pairs`` in lists of ``_CHUNK_PAIRS``, read as they are iterated and
+    """The given ``chunks`` of pairs, checked as they are iterated and
     queued until the caller takes their decisions. Its length is the number
-    of lists that ``total`` pairs make, by which ``parallel_map`` sizes its
-    pool."""
+    of ``_CHUNK``-pair chunks that ``total`` pairs make, by which
+    ``parallel_map`` sizes its pool."""
 
-    def __init__(self, pairs: Iterable[SentencePair], total: int, languages: Sequence[str]):
-        self.pairs = pairs
+    def __init__(self, chunks: Iterable[list], total: int, languages: Sequence[str]):
+        self.chunks = chunks
         self.total = total
         self.languages = languages
         self.read: deque = deque()
 
     def __len__(self) -> int:
-        return -(-self.total // _CHUNK_PAIRS)
+        return -(-self.total // _CHUNK)
 
     def __iter__(self) -> Iterator[list]:
         known = set(self.languages)
-        for chunk in batched(self.pairs, _CHUNK_PAIRS):
+        for chunk in self.chunks:
             for pair in chunk:
                 if pair.src_lang == pair.tgt_lang:
                     raise ValueError(f"pair {pair.index}: src_lang equals tgt_lang ({pair.src_lang!r})")
@@ -194,13 +194,13 @@ class _Chunks:
 
 
 def clean_chunks(
-    pairs: Iterable[SentencePair], total: int, model: Optional[LangIdModel], mode: str = "both", workers: int = 1
+    chunks: Iterable[list], total: int, model: Optional[LangIdModel], mode: str = "both", workers: int = 1
 ) -> Iterator[tuple[list, list]]:
-    """Decide ``pairs`` a chunk of ``_CHUNK_PAIRS`` at a time, yielding each
-    chunk with its decisions in input order. ``total``, the number of
-    pairs, sizes the pool; ``pairs`` is read only a bounded number of
-    chunks ahead of the chunks taken, so a streamed corpus is never held
-    whole. With ``model`` None every pair is kept (the no-clean
+    """Decide each of the ``chunks`` of pairs (lists, as ``batched`` cuts
+    them), yielding the chunk itself with its decisions in input order.
+    ``total``, the number of pairs, sizes the pool; ``chunks`` is read only
+    a bounded number ahead of the chunks taken, so a streamed corpus is
+    never held whole. With ``model`` None every pair is kept (the no-clean
     pass-through).
 
     Raises UnknownLanguage when a pair claims a language the model does not
@@ -211,15 +211,15 @@ def clean_chunks(
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     if model is None:
-        for chunk in batched(pairs, _CHUNK_PAIRS):
+        for chunk in chunks:
             yield chunk, [CleaningDecision(pair.index, True, Reason.KEPT) for pair in chunk]
         return
-    chunks = _Chunks(pairs, total, model.languages)
+    queued = _Chunks(chunks, total, model.languages)
     try:
         for decisions in parallel_map(
-            _decide_in_worker, chunks, workers=workers, initializer=_init_worker, initargs=(model, mode)
+            _decide_in_worker, queued, workers=workers, initializer=_init_worker, initargs=(model, mode)
         ):
-            yield chunks.read.popleft(), decisions
+            yield queued.read.popleft(), decisions
     finally:
         # an in-process map sets the worker state here; it need not outlive the map
         _init_worker(None, "both")
@@ -237,7 +237,7 @@ def clean(
     pairs = list(pairs)
     report = CleaningReport(0, 0, {}, [] if keep_decisions else None)
     kept = []
-    for chunk, decisions in clean_chunks(pairs, len(pairs), model, mode, workers):
+    for chunk, decisions in clean_chunks(batched(pairs, _CHUNK), len(pairs), model, mode, workers):
         kept += report.add(chunk, decisions)
     return CleanResult(kept=kept, report=report)
 

@@ -18,6 +18,7 @@ import click
 from . import __version__
 from .cleaner import MODES, CleaningReport, audit_table, clean_chunks, report_body
 from .corpus_io import (
+    _CHUNK,
     atomic_write,
     batched,
     corpus_stats,
@@ -33,10 +34,7 @@ from .exceptions import BitextError, LineCountMismatch
 from .langid import classify_lines, load_model, save_model, train
 from .metrics import score_report
 from .pipeline import dump_json, run_pipeline, validate_config, with_provenance
-from .tokenizer import detokenize, resolve_rules, tokenize_stream
-
-# lines that langid-classify reads and classifies at a time
-_CLASSIFY_CHUNK = 256
+from .tokenizer import detokenize, resolve_rules, tokenize_joined
 
 
 def _fail(message: str, code: int) -> None:
@@ -73,6 +71,8 @@ def cli():
 @click.option("--tsv", "tsv_path", type=click.Path(exists=True, dir_okay=False), help="Single TSV corpus instead of --src/--tgt.")
 def stats(src_path, tgt_path, tsv_path):
     """Sentence/word counts and type-token ratios of a corpus."""
+    if tsv_path and (src_path or tgt_path):
+        _fail("give either --tsv or --src and --tgt, not both", 1)
     if tsv_path:
         pairs = read_tsv(tsv_path, "src", "tgt")
     elif src_path and tgt_path:
@@ -120,7 +120,7 @@ def langid_train(seeds, out_path, ngram_min, ngram_max, vocab_size, alpha):
 def langid_classify(model_path, input_path):
     """Classify lines; emits TSV: text, predicted language, margin."""
     model = load_model(model_path)
-    for texts in batched(decode_lines(input_path), _CLASSIFY_CHUNK):
+    for texts in batched(decode_lines(input_path), _CHUNK):
         for text, prediction in zip(texts, classify_lines(model, texts)):
             click.echo(f"{text}\t{prediction.lang}\t{prediction.margin:.6f}")
 
@@ -149,7 +149,7 @@ def clean_cmd(src_path, tgt_path, src_lang, tgt_lang, model_path, mode, out_pref
     pairs = read_parallel(src_path, tgt_path, src_lang, tgt_lang)
     total = count_lines(src_path)
     model = None if no_clean else load_model(model_path)
-    decided = clean_chunks(pairs, total, model, mode, workers)
+    decided = clean_chunks(batched(pairs, _CHUNK), total, model, mode, workers)
     report = CleaningReport(0, 0, {}, [] if full_report and not no_clean else None)
     removed: tuple[list, list] = ([], [])
     # closed on an error too, so that a worker pool ends with the pass
@@ -203,7 +203,8 @@ def _write_lines(output_path: str, lines: Iterable[str]) -> None:
 def tokenize_cmd(lang, fallback_of, aggressive_hyphen, input_file, output_path):
     """Tokenize lines (stdin to stdout by default)."""
     rules = resolve_rules(lang, fallback_of, aggressive_hyphen=aggressive_hyphen)
-    _write_lines(output_path, (" ".join(tokens) for tokens in tokenize_stream(decode_lines(input_file), rules)))
+    chunks = batched(decode_lines(input_file), _CHUNK)
+    _write_lines(output_path, (line for chunk in chunks for line in tokenize_joined(chunk, rules)))
 
 
 @cli.command("detokenize")

@@ -15,7 +15,7 @@ bit-parallel kernel runs.
 from __future__ import annotations
 
 import unicodedata
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Iterable, Optional, Sequence
 
 from .corpus_io import SentencePair
@@ -71,14 +71,7 @@ class CognateReport:
         )
 
     def to_dict(self) -> dict:
-        return {
-            "pairs_examined": self.pairs_examined,
-            "cognate_pairs": self.cognate_pairs,
-            "cognate_rate": self.cognate_rate,
-            "preserved": self.preserved,
-            "preservation_rate": self.preservation_rate,
-            "threshold": self.threshold,
-        }
+        return asdict(self)
 
 
 class _WordTable:

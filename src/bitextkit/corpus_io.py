@@ -15,7 +15,7 @@ from __future__ import annotations
 import os
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import islice, zip_longest
 from typing import BinaryIO, Callable, Iterable, Iterator, Optional, Sequence, TextIO
 
@@ -48,24 +48,19 @@ class CorpusStats:
     ttr_target: Optional[float]
 
     def to_dict(self) -> dict:
-        return {
-            "sentence_count": self.sentence_count,
-            "word_count_source": self.word_count_source,
-            "word_count_target": self.word_count_target,
-            "ttr_source": self.ttr_source,
-            "ttr_target": self.ttr_target,
-        }
+        return asdict(self)
 
 
 # Bytes that decode_lines reads at a time.
 _READ_BLOCK = 1 << 12
 
-# Pairs handled together: the cleaner decides them, prep reads and
-# writes them, write_parallel writes them and corpus_stats folds them. Enough
-# that the langid n-gram walk runs on long arrays, few enough that its
-# temporary arrays stay under a megabyte (at most 0.8 MB, as tracemalloc
-# counts them, on the chunks of the prep benchmark's 16,000 pairs).
-_CHUNK_PAIRS = 128
+# The one chunk size: each stream of pairs, lines or segments is cut into
+# lists of this many once, where it is read, and every stage takes those
+# lists as they come. Enough that the langid n-gram walk runs on long
+# arrays, few enough that its temporary arrays stay under a megabyte (at
+# most 0.8 MB, as tracemalloc counts them, on the chunks of the prep
+# benchmark's 16,000 pairs).
+_CHUNK = 128
 
 
 def decode_lines(stream: BinaryIO) -> Iterator[str]:
@@ -283,11 +278,11 @@ def parallel_writer(source_path, target_path) -> Iterator[Callable[..., int]]:
 
 def write_parallel(pairs: Iterable[SentencePair], source_path, target_path) -> int:
     """Write pairs to the two-file format, checked as ``parallel_writer``
-    checks them, ``_CHUNK_PAIRS`` at a time. Returns the number of
+    checks them, ``_CHUNK`` at a time. Returns the number of
     pairs written. Both files are replaced whole, and only once every pair
     is written."""
     with parallel_writer(source_path, target_path) as write:
-        return sum(write(chunk) for chunk in batched(pairs, _CHUNK_PAIRS))
+        return sum(write(chunk) for chunk in batched(pairs, _CHUNK))
 
 
 def write_tsv(pairs: Iterable[SentencePair], path) -> int:
@@ -346,6 +341,6 @@ def corpus_stats(pairs: Iterable[SentencePair]) -> CorpusStats:
     counted token by token.
     """
     fold = StatsFold()
-    for chunk in batched(pairs, _CHUNK_PAIRS):
+    for chunk in batched(pairs, _CHUNK):
         fold.add(chunk)
     return fold.stats()

@@ -2,11 +2,11 @@
 with the CLI.
 
 ``EvalChunks`` reads the system output, references and sources in
-lockstep, ``EVAL_CHUNK`` segments at a time. ``eval_chunk`` detokenizes
+lockstep, ``_CHUNK`` segments at a time. ``eval_chunk`` detokenizes
 one chunk's system lines, scores its segments and finds their cognates;
 the pipeline maps it over the chunks with ``parallel_map`` and folds what
 it returns in segment order. ``cognate_report``, behind the ``cognates``
-command, maps the same cognate step over chunks of pairs.
+command, maps the same cognate step over chunks of ``_CHUNK`` pairs.
 """
 
 from __future__ import annotations
@@ -17,15 +17,11 @@ from itertools import chain, islice
 from typing import Iterator, Optional
 
 from .cognates import CognateReport, count_examined, extract_cognates, preservation
-from .corpus_io import SentencePair, batched, count_lines, decode_lines
+from .corpus_io import _CHUNK, SentencePair, batched, count_lines, decode_lines
 from .exceptions import EncodingError
 from .metrics.report import score_segment
 from .parallel import parallel_map
 from .tokenizer import TokenizerRules, detokenize, tokenize_lines
-
-# Segments in one chunk of the eval pass, and pairs in one chunk of
-# ``cognate_report``: one parallel_map item each.
-EVAL_CHUNK = 128
 
 
 def _cognate_chunk(job: tuple) -> tuple:
@@ -44,17 +40,17 @@ def cognate_report(
     pairs: list, system_tokens: Optional[list], threshold: float, min_len: int, workers: int
 ) -> tuple[list, dict]:
     """Cognates between the two sides of tokenized ``pairs``, and the report
-    body. ``workers`` map over chunks of ``EVAL_CHUNK`` pairs.
+    body. ``workers`` map over chunks of ``_CHUNK`` pairs.
 
     With ``system_tokens`` (one token list per pair) the body measures how
     many cognates the system output preserves; without, its ``preserved``
     and ``preservation_rate`` are None.
     """
-    starts = range(0, len(pairs), EVAL_CHUNK)
+    starts = range(0, len(pairs), _CHUNK)
     jobs = [
         (
-            [SentencePair(i, p.source, p.target, p.src_lang, p.tgt_lang) for i, p in enumerate(pairs[start : start + EVAL_CHUNK])],
-            None if system_tokens is None else system_tokens[start : start + EVAL_CHUNK],
+            [SentencePair(i, p.source, p.target, p.src_lang, p.tgt_lang) for i, p in enumerate(pairs[start : start + _CHUNK])],
+            None if system_tokens is None else system_tokens[start : start + _CHUNK],
             threshold,
             min_len,
         )
@@ -143,7 +139,7 @@ class _Aligned:
 
 class EvalChunks:
     """The jobs of ``eval_chunk``: the ``hyp``, ``ref`` and ``source`` files
-    read in lockstep, ``EVAL_CHUNK`` lines at a time. A read error of
+    read in lockstep, ``_CHUNK`` lines at a time. A read error of
     ``hyp`` is raised. The references and sources fail on their own and
     keep their error, if any, in ``refs.error`` and ``sources.error``; once
     ``hyp`` ends they are read to their end, so that ``refs.count`` and
@@ -157,12 +153,12 @@ class EvalChunks:
 
     def __len__(self) -> int:
         # sizes the worker pool
-        return -(-count_lines(self.hyp) // EVAL_CHUNK)
+        return -(-count_lines(self.hyp) // _CHUNK)
 
     def __iter__(self) -> Iterator[tuple]:
         refs, sources = self.refs.lines, self.sources.lines
         with open(self.hyp, "rb") as fh, closing(refs), closing(sources):
-            for chunk in batched(decode_lines(fh), EVAL_CHUNK):
+            for chunk in batched(decode_lines(fh), _CHUNK):
                 yield self.settings, chunk, _take(refs, len(chunk)), _take(sources, len(chunk))
             for _ in chain(refs, sources):
                 pass

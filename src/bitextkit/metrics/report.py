@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from ..corpus_io import read_lines
+from ..corpus_io import _CHUNK, batched, read_lines
 from ..exceptions import EmptyCorpus, LineCountMismatch
 from ..tokenizer import resolve_rules, tokenize_lines
 from .bleu import BleuFold, BleuScore, BleuStats, segment_stats
@@ -133,7 +133,10 @@ def score_report(
         # case, so it splits "casa. Luego" but not "casa. luego"
         if lowercase:
             lines = [line.lower() for line in lines]
-        tokens.append([line.split() for line in lines] if rules is None else tokenize_lines(lines, rules))
+        if rules is None:
+            tokens.append([line.split() for line in lines])
+        else:
+            tokens.append([toks for chunk in batched(lines, _CHUNK) for toks in tokenize_lines(chunk, rules)])
     hyps, *refs = tokens
     # not zip(*refs): without reference files each segment gets no
     # reference, and scoring it raises ValueError

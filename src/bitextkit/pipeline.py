@@ -36,7 +36,7 @@ import json
 import os
 import time
 from contextlib import closing, contextmanager
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Optional
 
@@ -44,7 +44,7 @@ from . import __version__
 from .cleaner import MODES, CleaningReport, clean_chunks, report_body
 from .cognates import CognateReport
 from .corpus_io import (
-    _CHUNK_PAIRS,
+    _CHUNK,
     StatsFold,
     atomic_write,
     batched,
@@ -94,7 +94,7 @@ class PipelineConfig:
     cognate_min_len: int = 4
 
     def to_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        return asdict(self)
 
 
 _BOOL_VALUES = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
@@ -307,13 +307,13 @@ def _run_prep(config: PipelineConfig, out: Path, manifest: _Manifest) -> None:
 
     def read():
         with _stage("stats_before"):
-            for chunk in batched(read_parallel(*inputs, *langs), _CHUNK_PAIRS):
+            for chunk in batched(read_parallel(*inputs, *langs), _CHUNK):
                 before.add(chunk)
-                yield from chunk
+                yield chunk
             report_path = _write_report(out / "stats_before.json", config, before.stats().to_dict())
             manifest.record("stats_before", inputs, [report_path])
 
-    pairs = read()
+    chunks = read()
     try:
         with _stage("tokenize"), parallel_writer(*tokenized) as write_tokenized:
             rules_src = resolve_rules(config.src_lang, config.tgt_lang)
@@ -321,7 +321,7 @@ def _run_prep(config: PipelineConfig, out: Path, manifest: _Manifest) -> None:
             with _stage("clean"):
                 total = count_lines(config.source)
                 model = load_model(config.model) if config.clean_enabled else None
-                decided = clean_chunks(pairs, total, model, config.clean_mode, config.workers)
+                decided = clean_chunks(chunks, total, model, config.clean_mode, config.workers)
                 # closed on an error too, so that a worker pool ends with the pass
                 with parallel_writer(*cleaned) as write_cleaned, closing(decided):
                     for chunk, decisions in decided:
@@ -340,7 +340,7 @@ def _run_prep(config: PipelineConfig, out: Path, manifest: _Manifest) -> None:
                 report_path = _write_report(out / "stats_after.json", config, after.stats().to_dict())
                 manifest.record("stats_after", cleaned, [report_path])
     except StageFailure:
-        for _ in pairs:
+        for _ in chunks:
             pass
         raise
 

@@ -13,11 +13,9 @@ from __future__ import annotations
 import unicodedata
 from dataclasses import dataclass
 from importlib import resources
-from typing import Iterable, Iterator, Sequence
+from typing import Sequence
 
 import regex
-
-from .corpus_io import batched
 
 _ALPHA = r"\p{L}\p{M}"
 _NUM = r"\p{N}"
@@ -62,10 +60,6 @@ _STARTS_LOWER = regex.compile(r"^\p{Ll}")
 _STARTS_DIGIT = regex.compile(rf"^[{_NUM}]")
 
 _PREFIX_PACKAGE_DIR = "data/nonbreaking_prefixes"
-
-# Lines joined into one string per rule pass, and read at a time by
-# tokenize_stream.
-_CHUNK_LINES = 256
 
 
 @dataclass(frozen=True)
@@ -175,14 +169,15 @@ def _split_periods(text: str, rules: TokenizerRules) -> str:
     return " ".join([text[a:b] for a, b in zip(cuts, cuts[1:])])
 
 
-def _tokenize_chunk(lines: Sequence[str], rules: TokenizerRules) -> str:
-    """The lines padded, joined with LF and run through every rule: each
-    line's tokens, with runs of spaces between them."""
-    texts = [_padded(line) for line in lines]
+def _segments(lines: Sequence[str], rules: TokenizerRules) -> list[str]:
+    """Each line's tokens, with runs of spaces between them: the lines are
+    padded, joined with LF and run through every rule once."""
+    if not lines:
+        return []
     # An LF inside a line is junk, so LF joins the lines unambiguously. Every
     # line starts and ends with a space, so no rule's match or context
     # reaches past its line, and no rule writes an LF.
-    text = "\n".join(texts)
+    text = "\n".join([_padded(line) for line in lines])
     text = _SPECIALS.sub(r" \1 ", text)
     if rules.aggressive_hyphen:
         text = _AGGRESSIVE_HYPHEN.sub(r"\1 @-@ ", text)
@@ -193,22 +188,16 @@ def _tokenize_chunk(lines: Sequence[str], rules: TokenizerRules) -> str:
         text = pattern.sub(repl, text)
     for pattern, repl in _APOS_RULES[rules.apostrophe_class]:
         text = pattern.sub(repl, text)
-    return _split_periods(text, rules)
-
-
-def _segments(lines: Sequence[str], rules: TokenizerRules) -> Iterator[str]:
-    """Each line's tokens with runs of spaces between them, from one rule
-    pass per ``_CHUNK_LINES`` lines."""
-    for start in range(0, len(lines), _CHUNK_LINES):
-        yield from _tokenize_chunk(lines[start : start + _CHUNK_LINES], rules).split("\n")
+    return _split_periods(text, rules).split("\n")
 
 
 def tokenize_lines(lines: Sequence[str], rules: TokenizerRules) -> list[list[str]]:
     """Tokenize each line into Moses-convention tokens, one list per line.
 
-    Each line is normalized and padded on its own; then a chunk of lines at
-    a time is joined with LF, so that each rule runs once per chunk. A
-    line's tokens do not depend on the other lines or on the chunk size.
+    Each line is normalized and padded on its own; then the lines are
+    joined with LF, so that each rule runs once over all of them. A line's
+    tokens do not depend on the other lines. Callers with a stream hand
+    over a chunk of it at a time.
     """
     return [segment.split() for segment in _segments(lines, rules)]
 
@@ -217,13 +206,6 @@ def tokenize_joined(lines: Sequence[str], rules: TokenizerRules) -> list[str]:
     """``tokenize_lines`` with each line's tokens joined by single spaces,
     as a tokenized corpus is written."""
     return [" ".join(segment.split()) for segment in _segments(lines, rules)]
-
-
-def tokenize_stream(lines: Iterable[str], rules: TokenizerRules) -> Iterator[list[str]]:
-    """``tokenize_lines`` over an iterable, read a chunk at a time, so that
-    memory stays bounded by the chunk."""
-    for chunk in batched(lines, _CHUNK_LINES):
-        yield from tokenize_lines(chunk, rules)
 
 
 def tokenize(text: str, rules: TokenizerRules) -> list:

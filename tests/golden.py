@@ -31,7 +31,7 @@ from pathlib import Path
 from click.testing import CliRunner
 from synth import seed_lines, spliced, synthetic_noisy_corpus
 
-from bitextkit import cleaner, corpus_io, evaluation, parallel, pipeline, tokenizer
+from bitextkit import corpus_io, parallel
 from bitextkit.cli import cli
 from bitextkit.langid import save_model, train
 from bitextkit.pipeline import run_pipeline, validate_config
@@ -140,20 +140,21 @@ def _write_eval(root: Path, name: str, pairs: list, hyps: list) -> None:
             _write(root / f"{name}.{suffix}.tok", [" ".join(crude_tokens(line)) for line in lines])
 
 
+def chunk_modules() -> list:
+    """Every loaded ``bitextkit`` module that binds the chunk size
+    ``_CHUNK``: its own copy of the constant is what it cuts by."""
+    loaded = sorted(sys.modules.items())
+    return [module for name, module in loaded if name.partition(".")[0] == "bitextkit" and hasattr(module, "_CHUNK")]
+
+
 @contextmanager
 def patched_chunks(size):
-    """Every chunk constant set to ``size`` (kept as it is for None). At 1
+    """Every chunk constant set to ``size`` (kept as it is for None): each
+    module's ``_CHUNK``, ``_READ_BLOCK`` and ``_WINDOW_PER_PROCESS``. At 1
     and 7 bytes, ``_READ_BLOCK`` cuts multi-byte characters, and the lines
     with a CR inside, across blocks."""
-    targets = [
-        (corpus_io, "_READ_BLOCK"),
-        (corpus_io, "_CHUNK_PAIRS"),
-        (cleaner, "_CHUNK_PAIRS"),
-        (pipeline, "_CHUNK_PAIRS"),
-        (evaluation, "EVAL_CHUNK"),
-        (tokenizer, "_CHUNK_LINES"),
-        (parallel, "_WINDOW_PER_PROCESS"),
-    ]
+    targets = [(corpus_io, "_READ_BLOCK"), (parallel, "_WINDOW_PER_PROCESS")]
+    targets += [(module, "_CHUNK") for module in chunk_modules()]
     saved = [getattr(module, name) for module, name in targets]
     try:
         if size is not None:

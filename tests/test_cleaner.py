@@ -1,10 +1,11 @@
 import time
+from itertools import accumulate
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bitextkit.cleaner import CleaningDecision, Reason, audit_table, clean
+from bitextkit.cleaner import CleaningDecision, Reason, audit_table, clean, clean_chunks
 from bitextkit.corpus_io import SentencePair
 from bitextkit.exceptions import IndexMismatch, UnknownLanguage
 from bitextkit.langid import train
@@ -144,6 +145,24 @@ def test_worker_count_does_not_change_output(fixture_model, noisy):
     assert one.kept == four.kept
     assert one.report.decisions == four.report.decisions
     assert one.report.removed_by_reason == four.report.removed_by_reason
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("with_model", [True, False])
+def test_clean_chunks_decides_the_chunks_it_is_given(fixture_model, noisy, workers, with_model):
+    """Uneven chunks come back one at a time, each the list that was given,
+    in input order, with the decisions ``clean`` makes on all their pairs."""
+    pairs, _ = noisy
+    ends = list(accumulate((1, 7, 128, 3), initial=0))
+    chunks = [pairs[start:end] for start, end in zip(ends, ends[1:])]
+    model = fixture_model if with_model else None
+    decided = list(clean_chunks(iter(chunks), ends[-1], model, "both", workers))
+    assert len(decided) == len(chunks)
+    assert all(got is given for (got, _), given in zip(decided, chunks))
+    assert [len(decisions) for _, decisions in decided] == [len(chunk) for chunk in chunks]
+    decisions = [decision for _, chunk_decisions in decided for decision in chunk_decisions]
+    assert decisions == clean(pairs[: ends[-1]], model, keep_decisions=True).report.decisions
+    assert {decision.keep for decision in decisions} == ({True, False} if with_model else {True})
 
 
 _TOY_MODEL = train(

@@ -11,9 +11,9 @@ from click.testing import CliRunner
 from oracles import tokenize_per_line
 from synth import synthetic_noisy_corpus
 
-from bitextkit.cleaner import _CHUNK_PAIRS, audit_table, clean
+from bitextkit.cleaner import audit_table, clean
 from bitextkit.cli import cli
-from bitextkit.corpus_io import read_parallel, write_parallel
+from bitextkit.corpus_io import _CHUNK, read_parallel, write_parallel
 from bitextkit.langid import classify, save_model
 from bitextkit.tokenizer import resolve_rules
 
@@ -84,6 +84,20 @@ def test_stats_tsv_input(runner, tmp_path):
     payload = json.loads(result.stdout)
     assert payload["sentence_count"] == 2
     assert payload["word_count_source"] == 3
+
+
+@pytest.mark.parametrize("sides", [("--src",), ("--tgt",), ("--src", "--tgt")])
+def test_stats_rejects_tsv_with_src_or_tgt(runner, tmp_path, corpus, sides):
+    """Only one corpus is counted, so naming a second one is an error, not
+    an input that is ignored while the report echoes it."""
+    tsv = tmp_path / "c.tsv"
+    tsv.write_text("hola amigos\thello friends\n", encoding="utf-8")
+    paths = dict(zip(("--src", "--tgt"), corpus))
+    args = ["stats", "--tsv", str(tsv)] + [arg for side in sides for arg in (side, str(paths[side]))]
+    result = runner.invoke(cli, args)
+    assert result.exit_code == 1
+    assert result.stdout == ""
+    assert result.stderr.startswith("error: ")
 
 
 def test_langid_train_reports_invalid_utf8_offset(runner, tmp_path, corpus):
@@ -560,7 +574,7 @@ def test_clean_audit_prints_the_table_of_the_removed_pairs(runner, tmp_path, fix
     summary = f"kept {len(result.kept)}/{len(pairs)} pairs -> {prefix}.es, {prefix}.ca\n"
     audited = runner.invoke(cli, args + ["--model", str(model_path)])
     assert audited.exit_code == 0, audited.output
-    assert {d.index < _CHUNK_PAIRS for d in result.report.decisions if not d.keep} == {True, False}
+    assert {d.index < _CHUNK for d in result.report.decisions if not d.keep} == {True, False}
     assert audited.stderr == audit_table(result.report.decisions, pairs, fmt=fmt) + "\n" + summary
     passed = runner.invoke(cli, args + ["--no-clean"])
     assert passed.exit_code == 0, passed.output

@@ -386,7 +386,7 @@ class TestWorkersAndChunks:
 
     def test_workers_give_identical_results_over_several_chunks(self):
         pairs = RANDOM_PAIRS[:333]  # two full chunks of 128 and a ragged one
-        assert len(pairs) > 2 * evaluation.EVAL_CHUNK
+        assert len(pairs) > 2 * evaluation._CHUNK
         one = extract_cognates(pairs, threshold=1 / 3, min_len=4)
         assert one == cognates_per_pair(pairs, 1 / 3, 4)
         for workers in (1, 2, 4):
@@ -395,7 +395,7 @@ class TestWorkersAndChunks:
     @pytest.mark.parametrize("chunk_pairs", [1, 7, 128, 5000])
     def test_chunk_size_does_not_change_results(self, monkeypatch, chunk_pairs):
         pairs = RANDOM_PAIRS[:400]
-        monkeypatch.setattr(evaluation, "EVAL_CHUNK", chunk_pairs)
+        monkeypatch.setattr(evaluation, "_CHUNK", chunk_pairs)
         found, body = cognate_report(pairs, None, 0.5, 1, 1)
         assert found == cognates_per_pair(pairs, 0.5, 1)
         assert body["cognate_pairs"] == len(found)

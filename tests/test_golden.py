@@ -23,6 +23,13 @@ def test_every_case_has_digests():
     assert sorted(GOLDEN) == sorted(golden.CASES)
 
 
+def test_every_reader_of_the_chunk_size_is_varied():
+    # names, not modules: golden.py's ``cli`` is the command group, not bitextkit.cli
+    found = {module.__name__ for module in golden.chunk_modules()}
+    readers = {"corpus_io", "cleaner", "pipeline", "evaluation", "cli", "metrics.report"}
+    assert found >= {f"bitextkit.{name}" for name in readers}
+
+
 @pytest.mark.parametrize(
     "name, workers, chunk", [(name, workers, chunk) for name in golden.CASES for workers, chunk in golden.variants(name)]
 )

@@ -16,8 +16,8 @@ import pytest
 
 import oracles
 from bitextkit import cleaner
-from bitextkit.cleaner import _CHUNK_PAIRS, MODES, clean
-from bitextkit.corpus_io import SentencePair
+from bitextkit.cleaner import MODES, clean
+from bitextkit.corpus_io import _CHUNK, SentencePair
 from bitextkit.langid import (
     boundary_evidence,
     classify,
@@ -193,7 +193,7 @@ def test_exact_ties_break_by_language_order_as_in_the_oracle():
         assert _assert_decisions_match(decisions, pairs, model, mode) >= len(pairs)
 
 
-@pytest.mark.parametrize("size", [0, 1, _CHUNK_PAIRS - 1, _CHUNK_PAIRS, _CHUNK_PAIRS + 1])
+@pytest.mark.parametrize("size", [0, 1, _CHUNK - 1, _CHUNK, _CHUNK + 1])
 @pytest.mark.parametrize("workers", [1, 2])
 def test_chunk_edges_and_workers(fixture_model, size, workers):
     rng = random.Random(f"chunks:{size}")

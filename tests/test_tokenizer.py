@@ -19,8 +19,8 @@ from bitextkit.tokenizer import (
     parse_prefix_file,
     resolve_rules,
     tokenize,
+    tokenize_joined,
     tokenize_lines,
-    tokenize_stream,
 )
 
 
@@ -217,21 +217,22 @@ def test_tokenize_equals_oracle_on_every_case(data_dir):
             assert tokenize(text, rules) == tokenize_per_line(text, rules)
 
 
-@pytest.mark.parametrize("chunk_lines", [1, 7, 128, "default"])
-def test_tokens_do_not_depend_on_chunk_size(monkeypatch, chunk_lines):
+@pytest.mark.parametrize("chunk_lines", [1, 7, 128, "whole"])
+def test_tokens_do_not_depend_on_chunk_size(chunk_lines):
+    """Callers cut a stream into chunks and tokenize each in one call; a
+    line's tokens must not depend on where the cuts fall."""
     lines = FUZZ[:600] + SEED_TEXT[:300]
+    size = len(lines) if chunk_lines == "whole" else chunk_lines
+    chunks = [lines[start : start + size] for start in range(0, len(lines), size)]
     for rules in (resolve_rules("es"), resolve_rules("fr", aggressive_hyphen=True)):
         expected = [tokenize_per_line(line, rules) for line in lines]
-        if chunk_lines != "default":
-            monkeypatch.setattr(tokenizer, "_CHUNK_LINES", chunk_lines)
-        assert tokenize_lines(lines, rules) == expected
-        assert list(tokenize_stream(iter(lines), rules)) == expected
-        monkeypatch.undo()
+        assert [tokens for chunk in chunks for tokens in tokenize_lines(chunk, rules)] == expected
+        assert [line for chunk in chunks for line in tokenize_joined(chunk, rules)] == [" ".join(t) for t in expected]
 
 
 def test_empty_input_gives_no_lines():
     assert tokenize_lines([], resolve_rules("es")) == []
-    assert list(tokenize_stream(iter(()), resolve_rules("es"))) == []
+    assert tokenize_joined([], resolve_rules("es")) == []
 
 
 def test_str_whitespace_is_regex_whitespace_outside_junk():
