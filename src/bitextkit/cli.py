@@ -17,8 +17,10 @@ import click
 
 from . import __version__
 from .cleaner import MODES, CleaningReport, audit_table, clean_chunks, report_body
+from .cognates import CognateReport
 from .corpus_io import (
     _CHUNK,
+    Lockstep,
     atomic_write,
     batched,
     corpus_stats,
@@ -29,10 +31,11 @@ from .corpus_io import (
     read_parallel,
     read_tsv,
 )
-from .evaluation import cognate_report
+from .evaluation import cognates_chunk
 from .exceptions import BitextError, LineCountMismatch
 from .langid import classify_lines, load_model, save_model, train
 from .metrics import score_report
+from .parallel import parallel_map
 from .pipeline import dump_json, run_pipeline, validate_config, with_provenance
 from .tokenizer import detokenize, resolve_rules, tokenize_joined
 
@@ -247,19 +250,33 @@ def score_cmd(hyp_path, ref_paths, lang, tokenized, lowercase):
 def cognates_cmd(src_path, ref_path, sys_path, threshold, min_len, dump_path, workers):
     """Extract cognates between source and reference; optionally measure
     how many a system output preserves. Inputs must be tokenized."""
-    pairs = list(read_parallel(src_path, ref_path, "src", "ref"))
-    sys_tokens = [line.split() for line in read_lines(sys_path)] if sys_path else None
-    if sys_tokens is not None and len(sys_tokens) != len(pairs):
-        raise LineCountMismatch(len(sys_tokens), len(pairs), context=f"{sys_path} / {ref_path}")
-    found, body = cognate_report(pairs, sys_tokens, threshold, min_len, workers)
-    if dump_path:
-        with atomic_write(dump_path) as (fh,):
+    aligned = [ref_path] if sys_path is None else [ref_path, sys_path]
+    chunks = Lockstep(src_path, aligned, (threshold, min_len))
+    lines = examined = found = preserved = 0
+    # closed on an error too, to end a worker pool; checked inside, so a failure leaves no dump
+    with atomic_write(dump_path) if dump_path else nullcontext((None,)) as (fh,), closing(
+        parallel_map(cognates_chunk, chunks, workers=workers)
+    ) as results:
+        if fh:
             fh.write("sentence\tsource_word\ttarget_word\tdistance\tnormalized_distance\tsource_position\ttarget_position\n")
-            for c in found:
-                fh.write(
-                    f"{c.source_sentence_index}\t{c.source_word}\t{c.target_word}\t{c.distance}"
+        for count, chunk_found, chunk_examined, chunk_preserved in results:
+            if fh:
+                fh.writelines(
+                    f"{lines + c.source_sentence_index}\t{c.source_word}\t{c.target_word}\t{c.distance}"
                     f"\t{c.normalized_distance:.6f}\t{c.source_position}\t{c.target_position}\n"
+                    for c in chunk_found
                 )
+            lines, examined, found = lines + count, examined + chunk_examined, found + len(chunk_found)
+            preserved += chunk_preserved or 0
+        if chunks.errors[0] is not None:
+            raise chunks.errors[0]
+        if chunks.counts[0] != lines:
+            raise LineCountMismatch(lines, chunks.counts[0], context=f"{src_path} / {ref_path}")
+        if sys_path is not None and chunks.errors[1] is not None:
+            raise chunks.errors[1]
+        if sys_path is not None and chunks.counts[1] != lines:
+            raise LineCountMismatch(chunks.counts[1], lines, context=f"{sys_path} / {ref_path}")
+    body = CognateReport.of(examined, found, threshold, None if sys_path is None else preserved).to_dict()
     _echo_json(
         with_provenance(body, {"src": src_path, "ref": ref_path, "sys": sys_path, "threshold": threshold, "min_len": min_len})
     )

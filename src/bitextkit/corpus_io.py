@@ -137,6 +137,50 @@ def _count_lines(stream: Iterator[str]) -> int:
     return sum(1 for _ in stream)
 
 
+class Lockstep:
+    """A ``main`` file and the ``aligned`` files beside it, read in
+    lockstep ``_CHUNK`` lines at a time. Each item is the ``head`` tuple
+    followed by a chunk of ``main``'s lines and, for each aligned file, its
+    same lines, or None where it has fewer left.
+
+    A read error of ``main`` is raised. An aligned file fails on its own:
+    an open or read error ends it and is kept in ``errors``, in the order
+    of ``aligned``. Once ``main`` ends, the aligned files are read to their
+    end, so that ``counts`` holds their line counts.
+    """
+
+    def __init__(self, main, aligned: Sequence, head: tuple):
+        self.main = main
+        self.aligned = aligned
+        self.head = head
+        self.counts = [0] * len(aligned)
+        self.errors: list[Optional[Exception]] = [None] * len(aligned)
+
+    def __len__(self) -> int:
+        # sizes a worker pool
+        return -(-count_lines(self.main) // _CHUNK)
+
+    def _lines(self, k: int) -> Iterator[str]:
+        try:
+            with open(self.aligned[k], "rb") as fh:
+                yield from decode_lines(fh)
+        except (OSError, EncodingError) as exc:
+            self.errors[k] = exc
+
+    def __iter__(self) -> Iterator[tuple]:
+        readers = [self._lines(k) for k in range(len(self.aligned))]
+        try:
+            with open(self.main, "rb") as fh:
+                for chunk in batched(decode_lines(fh), _CHUNK):
+                    taken = [list(islice(lines, len(chunk))) for lines in readers]
+                    self.counts = [count + len(lines) for count, lines in zip(self.counts, taken)]
+                    yield (*self.head, chunk, *(lines if len(lines) == len(chunk) else None for lines in taken))
+            self.counts = [count + _count_lines(lines) for count, lines in zip(self.counts, readers)]
+        finally:
+            for lines in readers:
+                lines.close()
+
+
 def read_parallel(source_path, target_path, src_lang: str, tgt_lang: str) -> Iterator[SentencePair]:
     """Stream pairs from two line-aligned files.
 
@@ -288,15 +332,23 @@ def write_parallel(pairs: Iterable[SentencePair], source_path, target_path) -> i
 def write_tsv(pairs: Iterable[SentencePair], path) -> int:
     """Write pairs as TSV (source TAB target). Fields are checked as in
     ``write_parallel``, and a TAB in a field is rejected too. The file is
-    replaced whole."""
+    replaced whole. An OSError of the writing names the path; one raised
+    by ``pairs`` passes unchanged."""
     count = 0
+    ours = True  # whether an OSError comes from the writing, not from ``pairs``
     try:
         with atomic_write(path) as (fh,):
+            ours = False
             for pair in pairs:
+                ours = True
                 _check_writable(pair.index, pair.source, pair.target, forbid_tab=True)
                 fh.write(pair.source + "\t" + pair.target + "\n")
                 count += 1
+                ours = False
+            ours = True
     except OSError as exc:
+        if not ours:
+            raise
         raise OSError(f"writing TSV corpus to {path}: {exc}") from exc
     return count
 

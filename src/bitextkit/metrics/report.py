@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from ..corpus_io import _CHUNK, batched, read_lines
+from ..corpus_io import Lockstep
 from ..exceptions import EmptyCorpus, LineCountMismatch
 from ..tokenizer import resolve_rules, tokenize_lines
 from .bleu import BleuFold, BleuScore, BleuStats, segment_stats
@@ -95,19 +95,6 @@ def score_corpus(
     return fold_segments(ScoreFold(), score_segment, hypotheses, references).report()
 
 
-def read_references(hyp_lines: Sequence[str], hyp_path, ref_paths) -> list:
-    """Each reference file's lines, checked to align with ``hyp_lines`` (read from ``hyp_path``)."""
-    ref_corpora = []
-    for ref_path in ref_paths:
-        ref_lines = read_lines(ref_path)
-        if len(ref_lines) != len(hyp_lines):
-            raise LineCountMismatch(len(hyp_lines), len(ref_lines), context=f"{hyp_path} / {ref_path}")
-        ref_corpora.append(ref_lines)
-    if not hyp_lines:
-        raise EmptyCorpus(f"{hyp_path} is empty")
-    return ref_corpora
-
-
 def score_report(
     hyp_path,
     ref_paths,
@@ -120,24 +107,34 @@ def score_report(
     With ``tokenized_input=False`` (the default), every line is run through
     the rule-based tokenizer for ``lang`` before scoring; otherwise lines
     are split on whitespace as-is. ``lowercase=True`` folds case before
-    scoring (scores are case-sensitive by default).
+    scoring (scores are case-sensitive by default). The files are read in
+    lockstep a chunk at a time, and a reference that fails to read or has
+    another line count is reported once the hypothesis is read.
     """
     if isinstance(ref_paths, (str, bytes)) or hasattr(ref_paths, "__fspath__"):
         ref_paths = [ref_paths]
-    hyp_lines = read_lines(hyp_path)
-    ref_corpora = read_references(hyp_lines, hyp_path, ref_paths)
     rules = None if tokenized_input else resolve_rules(lang)
-    tokens = []
-    for lines in (hyp_lines, *ref_corpora):
-        # case is folded before splitting, never after: the tokenizer reads
-        # case, so it splits "casa. Luego" but not "casa. luego"
-        if lowercase:
-            lines = [line.lower() for line in lines]
-        if rules is None:
-            tokens.append([line.split() for line in lines])
-        else:
-            tokens.append([toks for chunk in batched(lines, _CHUNK) for toks in tokenize_lines(chunk, rules)])
-    hyps, *refs = tokens
-    # not zip(*refs): without reference files each segment gets no
-    # reference, and scoring it raises ValueError
-    return score_corpus(hyps, [[ref[i] for ref in refs] for i in range(len(hyps))])
+    chunks = Lockstep(hyp_path, ref_paths, ())
+    fold, lines = ScoreFold(), 0
+    for hyps, *refs in chunks:
+        lines += len(hyps)
+        if None in refs:
+            continue  # a reference ended early or failed to read
+        tokens = []
+        for chunk in (hyps, *refs):
+            # case is folded before splitting, never after: the tokenizer reads
+            # case, so it splits "casa. Luego" but not "casa. luego"
+            chunk = [line.lower() for line in chunk] if lowercase else chunk
+            tokens.append([line.split() for line in chunk] if rules is None else tokenize_lines(chunk, rules))
+        # without reference files each segment gets no reference, and
+        # scoring it raises ValueError
+        for hyp, *seg_refs in zip(*tokens):
+            fold.add(score_segment(hyp, seg_refs))
+    for ref_path, count, error in zip(ref_paths, chunks.counts, chunks.errors):
+        if error is not None:
+            raise error
+        if count != lines:
+            raise LineCountMismatch(lines, count, context=f"{hyp_path} / {ref_path}")
+    if not lines:
+        raise EmptyCorpus(f"{hyp_path} is empty")
+    return fold.report()

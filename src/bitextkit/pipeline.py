@@ -45,6 +45,7 @@ from .cleaner import MODES, CleaningReport, clean_chunks, report_body
 from .cognates import CognateReport
 from .corpus_io import (
     _CHUNK,
+    Lockstep,
     StatsFold,
     atomic_write,
     batched,
@@ -53,7 +54,7 @@ from .corpus_io import (
     read_lines,
     read_parallel,
 )
-from .evaluation import EvalChunks, EvalSettings, eval_chunk
+from .evaluation import EvalSettings, eval_chunk
 from .exceptions import BitextError, EmptyCorpus, LineCountMismatch
 from .langid import load_model
 from .metrics.report import ScoreFold
@@ -367,7 +368,7 @@ def _run_eval(config: PipelineConfig, out: Path, manifest: _Manifest) -> None:
         config.cognate_threshold,
         config.cognate_min_len,
     )
-    chunks = EvalChunks(config.hyp, config.ref, config.source, settings)
+    chunks = Lockstep(config.hyp, (config.ref, config.source), (settings,))
     scores = ScoreFold()
     lines = examined = found = preserved = 0
 
@@ -391,22 +392,22 @@ def _run_eval(config: PipelineConfig, out: Path, manifest: _Manifest) -> None:
         manifest.record("detokenize", [config.hyp], [detok_path, report_path])
 
     with _stage("score"):
-        refs = chunks.refs
-        if refs.error is not None:
-            raise refs.error
-        if refs.count != lines:
-            raise LineCountMismatch(lines, refs.count, context=f"{detok_path} / {config.ref}")
+        ref_count, ref_error = chunks.counts[0], chunks.errors[0]
+        if ref_error is not None:
+            raise ref_error
+        if ref_count != lines:
+            raise LineCountMismatch(lines, ref_count, context=f"{detok_path} / {config.ref}")
         if not lines:
             raise EmptyCorpus(f"{detok_path} is empty")
         report_path = _write_report(out / "score.json", config, scores.report().to_dict())
         manifest.record("score", [detok_path, config.ref], [report_path])
 
     with _stage("cognates"):
-        sources = chunks.sources
-        if sources.error is not None:
-            raise sources.error
-        if sources.count != lines:
-            raise LineCountMismatch(sources.count, lines, context=f"{config.source} / {config.ref}")
+        source_count, source_error = chunks.counts[1], chunks.errors[1]
+        if source_error is not None:
+            raise source_error
+        if source_count != lines:
+            raise LineCountMismatch(source_count, lines, context=f"{config.source} / {config.ref}")
         body = CognateReport.of(examined, found, config.cognate_threshold, preserved).to_dict()
         report_path = _write_report(out / "cognates.json", config, body)
         manifest.record("cognates", [config.source, config.ref, detok_path], [report_path])

@@ -270,6 +270,17 @@ def cognates_per_pair(pairs, threshold, min_len):
     return cognates
 
 
+def cognate_dump(cognates):
+    """The text that ``bitextkit cognates --dump`` writes for ``cognates``
+    found in pairs numbered from 0."""
+    header = "sentence\tsource_word\ttarget_word\tdistance\tnormalized_distance\tsource_position\ttarget_position\n"
+    return header + "".join(
+        f"{c.source_sentence_index}\t{c.source_word}\t{c.target_word}\t{c.distance}"
+        f"\t{c.normalized_distance:.6f}\t{c.source_position}\t{c.target_position}\n"
+        for c in cognates
+    )
+
+
 def preservation_per_token(cognates, system_output, threshold, examined=None):
     """The cognate report with ``normalized_distance`` against every system
     token of each cognate's sentence."""

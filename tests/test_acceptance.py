@@ -20,7 +20,6 @@ from bitextkit.cognates import (
     preservation,
 )
 from bitextkit.corpus_io import corpus_stats
-from bitextkit.evaluation import cognate_report
 from bitextkit.langid import classify, train
 from bitextkit.metrics import bleu_corpus, bleu_sentence, score_corpus
 from bitextkit.metrics.ribes import ribes
@@ -33,6 +32,7 @@ from oracles import (
     distinct_word_alignment,
     edit_distance_matrix,
     levenshtein_recursive,
+    cognate_dump,
     normalized_distance,
 )
 from synth import seed_lines, synthetic_noisy_corpus, throughput_corpus
@@ -217,7 +217,7 @@ def _cognate_fixture(data_dir):
     return pairs
 
 
-def test_criterion_09_cognate_preservation(data_dir):
+def test_criterion_09_cognate_preservation(data_dir, cognates_command):
     with criterion(9, "cognate preservation 1.0 / 0.0 / 0.80 +- 0.02 on fixtures"):
         pairs = _cognate_fixture(data_dir)
         assert len(pairs) == 50
@@ -279,7 +279,7 @@ def test_criterion_09_cognate_preservation(data_dir):
 
         # determinism across runs and worker counts
         assert extract_cognates(pairs) == cognates
-        assert cognate_report(pairs, None, 0.3, 4, 4)[0] == cognates
+        assert cognates_command(pairs, None, 0.3, 4, 4)[0] == cognate_dump(cognates)
 
 
 def test_criterion_10_throughput_and_worker_invariance(fixture_model):

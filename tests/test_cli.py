@@ -461,6 +461,43 @@ def test_cognates_system_output_line_count_must_match(runner, tmp_path, src_line
     assert not dump.exists()
 
 
+@pytest.mark.parametrize("fault", ["short ref", "bad byte in ref", "bad byte in sys"])
+def test_cognates_failure_prints_no_report_and_leaves_no_dump(runner, tmp_path, fault):
+    """A fault found on line 250 of 300, once chunks before it have been
+    dumped, fails the command as when it read its inputs whole."""
+    src, ref, system, dump = (tmp_path / name for name in ("src.txt", "ref.txt", "sys.txt", "pairs.tsv"))
+    ca = "".join(PROSE_CA[i % 3] + "\n" for i in range(300)).encode("utf-8")
+    es = "".join(PROSE_ES[i % 3] + "\n" for i in range(300)).encode("utf-8")
+    offset = len(b"".join(es.splitlines(keepends=True)[:250]))
+    files = {src: ca, ref: es, system: es}
+    if fault == "short ref":
+        files[ref] = es[:offset]
+        want = f"{src} / {ref}: line counts differ: 300 vs 250"
+    else:
+        bad = ref if fault == "bad byte in ref" else system
+        files[bad] = es[:offset] + b"\xff" + es[offset:]
+        want = f"{bad}: invalid UTF-8 at byte offset {offset} (invalid start byte)"
+    for path, data in files.items():
+        path.write_bytes(data)
+    args = ["cognates", "--src", str(src), "--ref", str(ref), "--sys", str(system), "--dump", str(dump)]
+    result = runner.invoke(cli, args)
+    assert result.exit_code == 2, result.output
+    assert result.stderr == f"error: {want}\n"
+    assert result.stdout == ""
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["ref.txt", "src.txt", "sys.txt"]
+
+
+def test_score_names_the_short_reference(runner, tmp_path):
+    hyp, ref, short = tmp_path / "hyp.txt", tmp_path / "ref.txt", tmp_path / "short.txt"
+    lines = [PROSE_ES[i % 3] for i in range(300)]
+    for path, count in ((hyp, 300), (ref, 300), (short, 200)):
+        path.write_text("".join(line + "\n" for line in lines[:count]), encoding="utf-8")
+    result = runner.invoke(cli, ["score", "--hyp", str(hyp), "--ref", str(ref), "--ref", str(short), "--lang", "es"])
+    assert result.exit_code == 2, result.output
+    assert result.stderr == f"error: {hyp} / {short}: line counts differ: 300 vs 200\n"
+    assert result.stdout == ""
+
+
 def test_cognates_without_system_output(runner, tmp_path):
     src = tmp_path / "src.txt"
     ref = tmp_path / "ref.txt"

@@ -7,7 +7,7 @@ from hypothesis import find, given, settings
 from hypothesis import strategies as st
 
 from bitextkit import cognates as cognates_module
-from bitextkit import evaluation
+from bitextkit import corpus_io
 from bitextkit.cognates import (
     CognatePair,
     _WordTable,
@@ -18,10 +18,10 @@ from bitextkit.cognates import (
 )
 from bitextkit.corpus_io import SentencePair
 from bitextkit.editdist import advance, edit_state, levenshtein
-from bitextkit.evaluation import cognate_report
 from bitextkit.exceptions import IndexMismatch
 
 from oracles import (
+    cognate_dump,
     cognates_per_pair,
     edit_distance_matrix,
     levenshtein_recursive,
@@ -162,13 +162,14 @@ class TestExtractCognates:
         with pytest.raises(ValueError):
             extract_cognates([], threshold=0.0)
 
-    def test_deterministic_across_runs_and_workers(self, data_dir):
+    def test_deterministic_across_runs_and_workers(self, data_dir, cognates_command):
         rows = [l.split("\t") for l in (data_dir / "cognates_ca_es.tsv").read_text(encoding="utf-8").splitlines()]
         pairs = [_pair(i, s, t) for i, (s, t) in enumerate(rows)]
         first = extract_cognates(pairs)
         again = extract_cognates(pairs)
-        parallel, _ = cognate_report(pairs, None, 0.3, 4, 4)
-        assert first == again == parallel
+        parallel, _ = cognates_command(pairs, None, 0.3, 4, 4)
+        assert first == again
+        assert parallel == cognate_dump(first)
         assert len(first) > 100
 
 
@@ -381,23 +382,24 @@ class TestPrunedSearchEqualsOracle:
 
 
 class TestWorkersAndChunks:
-    """``cognate_report`` maps extraction over chunks of pairs; neither the
-    worker count nor the chunk size may change what it finds."""
+    """The ``cognates`` command maps extraction over chunks of pairs; neither
+    the worker count nor the chunk size may change what it finds."""
 
-    def test_workers_give_identical_results_over_several_chunks(self):
+    def test_workers_give_identical_results_over_several_chunks(self, cognates_command):
         pairs = RANDOM_PAIRS[:333]  # two full chunks of 128 and a ragged one
-        assert len(pairs) > 2 * evaluation._CHUNK
+        assert len(pairs) > 2 * corpus_io._CHUNK
         one = extract_cognates(pairs, threshold=1 / 3, min_len=4)
         assert one == cognates_per_pair(pairs, 1 / 3, 4)
         for workers in (1, 2, 4):
-            assert cognate_report(pairs, None, 1 / 3, 4, workers)[0] == one
+            assert cognates_command(pairs, None, 1 / 3, 4, workers)[0] == cognate_dump(one)
 
     @pytest.mark.parametrize("chunk_pairs", [1, 7, 128, 5000])
-    def test_chunk_size_does_not_change_results(self, monkeypatch, chunk_pairs):
+    def test_chunk_size_does_not_change_results(self, monkeypatch, cognates_command, chunk_pairs):
         pairs = RANDOM_PAIRS[:400]
-        monkeypatch.setattr(evaluation, "_CHUNK", chunk_pairs)
-        found, body = cognate_report(pairs, None, 0.5, 1, 1)
-        assert found == cognates_per_pair(pairs, 0.5, 1)
+        monkeypatch.setattr(corpus_io, "_CHUNK", chunk_pairs)
+        found = cognates_per_pair(pairs, 0.5, 1)
+        dump, body = cognates_command(pairs, None, 0.5, 1, 1)
+        assert dump == cognate_dump(found)
         assert body["cognate_pairs"] == len(found)
         assert body["pairs_examined"] == count_examined(pairs, 1)
 

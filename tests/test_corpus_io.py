@@ -1,5 +1,6 @@
 import os
 import random
+import re
 import stat
 import threading
 
@@ -8,7 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import stats_fold_per_pair
 
+from bitextkit import corpus_io
 from bitextkit.corpus_io import (
+    Lockstep,
     SentencePair,
     StatsFold,
     corpus_stats,
@@ -141,6 +144,36 @@ class TestWriteParallel:
             write_tsv(_pairs(("x", "con\ttab")), tmp_path / "o.tsv")
 
 
+class TestLockstep:
+    def test_chunks_counts_and_errors(self, tmp_path, monkeypatch):
+        """Each item is the head, a chunk of the main file, and each aligned
+        file's same lines or None; a short, long, unreadable or missing
+        aligned file ends up in ``counts`` and ``errors``."""
+        monkeypatch.setattr(corpus_io, "_CHUNK", 2)
+        lines = [f"line {i}" for i in range(7)]
+        files = {"main": lines[:5], "same": lines[:5], "short": lines[:3], "long": lines}
+        for name, text in files.items():
+            (tmp_path / name).write_text("".join(line + "\n" for line in text), encoding="utf-8")
+        (tmp_path / "bad").write_bytes(b"line 0\nline 1\nline \xff2\n")
+        aligned = [tmp_path / name for name in ("same", "short", "long", "bad", "missing")]
+        chunks = Lockstep(tmp_path / "main", aligned, ("head",))
+        assert len(chunks) == 3
+        assert list(chunks) == [
+            ("head", lines[0:2], lines[0:2], lines[0:2], lines[0:2], lines[0:2], None),
+            ("head", lines[2:4], lines[2:4], None, lines[2:4], None, None),
+            ("head", lines[4:5], lines[4:5], None, lines[4:5], None, None),
+        ]
+        assert chunks.counts == [5, 3, 7, 2, 0]
+        assert chunks.errors[:3] == [None, None, None]
+        assert isinstance(chunks.errors[3], EncodingError) and isinstance(chunks.errors[4], FileNotFoundError)
+
+    def test_a_read_error_of_the_main_file_is_raised(self, tmp_path):
+        (tmp_path / "main").write_bytes(b"ok\n\xff\n")
+        (tmp_path / "ref").write_text("ok\nok\n", encoding="utf-8")
+        with pytest.raises(EncodingError, match="byte offset 3"):
+            list(Lockstep(tmp_path / "main", [tmp_path / "ref"], ()))
+
+
 class TestWholeOrNothing:
     def test_pairs_raising_midway_leave_no_file(self, tmp_path):
         def pairs():
@@ -150,6 +183,33 @@ class TestWholeOrNothing:
         with pytest.raises(RuntimeError):
             write_parallel(pairs(), tmp_path / "o.src", tmp_path / "o.tgt")
         assert list(tmp_path.iterdir()) == []
+
+    def test_an_oserror_of_the_pairs_passes_unchanged(self, tmp_path):
+        """Both writers let an OSError raised by their input through as it
+        is, at the first pair or after some, and leave no file; an OSError
+        of the writing itself names the output."""
+        (tmp_path / "in.es").write_text("uno\n", encoding="utf-8")
+        missing = tmp_path / "in.ca"
+
+        def midway():
+            yield from _pairs(("uno", "un"))
+            raise OSError("source went away")
+
+        for pairs, want in [
+            (lambda: read_parallel(tmp_path / "in.es", missing, "es", "ca"), f"[Errno 2] No such file or directory: '{missing}'"),
+            (midway, "source went away"),
+        ]:
+            with pytest.raises(OSError) as parallel:
+                write_parallel(pairs(), tmp_path / "o.src", tmp_path / "o.tgt")
+            with pytest.raises(OSError) as tsv:
+                write_tsv(pairs(), tmp_path / "o.tsv")
+            assert str(parallel.value) == str(tsv.value) == want
+            assert [p.name for p in tmp_path.iterdir()] == ["in.es"]
+        out = tmp_path / "absent" / "o"
+        with pytest.raises(OSError, match=f"^writing TSV corpus to {re.escape(str(out))}.tsv: "):
+            write_tsv(_pairs(("a", "b")), f"{out}.tsv")
+        with pytest.raises(OSError, match=f"^writing parallel corpus to {re.escape(str(out))}.src / "):
+            write_parallel(_pairs(("a", "b")), f"{out}.src", f"{out}.tgt")
 
     def test_failed_write_keeps_previous_files(self, tmp_path):
         write_parallel(_pairs(("viejo", "vell")), tmp_path / "o.src", tmp_path / "o.tgt")

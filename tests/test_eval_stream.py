@@ -1,6 +1,6 @@
 """Eval as one streaming pass: it runs under the benchmark's tracer with the
-same artifacts, and its peak memory does not grow with the number of
-segments."""
+same artifacts, and its peak memory, like that of the ``score`` and
+``cognates`` commands, does not grow with the number of segments."""
 
 import json
 
@@ -11,7 +11,7 @@ from bitextkit.cli import cli
 from bitextkit.metrics import score_report
 
 from synth import seed_lines, spliced
-from test_prep_stream import _artifacts, _peak_rss_mb, _traced
+from test_prep_stream import _artifacts, _peak_rss_mb, _traced, script_peak_rss_mb
 
 
 def _eval_inputs(directory, count: int, src: str = "es", tgt: str = "ca") -> dict:
@@ -77,13 +77,38 @@ def test_peak_memory_does_not_grow_with_the_segments(tmp_path):
     assert peaks[3_000] - peaks[500] <= 1.0, peaks
 
 
+_CLI_PEAK = """
+import sys
+from bitextkit.cli import cli
+cli.main(sys.argv[1:], prog_name="bitextkit", standalone_mode=False)
+with open("/proc/self/status", encoding="ascii") as fh:
+    print(next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:")) / 1024)
+"""
+
+
+@pytest.mark.parametrize("command", ["score", "cognates"])
+def test_cli_peak_memory_does_not_grow_with_the_segments(tmp_path, command):
+    peaks = {}
+    for count in (500, 3_000):
+        paths = _eval_inputs(tmp_path, count)
+        args = {
+            "score": ["score", "--hyp", paths["hyp"], "--ref", paths["ref"], "--lang", "ca"],
+            "cognates": ["cognates", "--src", paths["source"], "--ref", paths["ref"], "--sys", paths["hyp"]]
+            + ["--dump", tmp_path / f"{count}.tsv"],
+        }[command]
+        peaks[count] = script_peak_rss_mb(_CLI_PEAK, *args)
+    # reading the files whole cost about 2.5 (score) and 1.6 (cognates) MB per thousand
+    assert peaks[3_000] - peaks[500] <= 1.0, peaks
+
+
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("lowercase", [False, True])
 def test_eval_scores_equal_cli_score_of_its_output(tmp_path, lowercase, workers):
-    """The eval pass scores each chunk's token lists; ``score_report`` splits
-    whole files. On a ca->es eval of three chunks, where both languages
-    have their own rules, the eval's score.json is ``score_report`` of the
-    detokenized output against the same reference."""
+    """The eval pass scores the token lists that it shares with cognates;
+    ``score_report`` reads the detokenized file back and tokenizes it anew.
+    On a ca->es eval of three chunks, where both languages have their own
+    rules, the eval's score.json is ``score_report`` of the detokenized
+    output against the same reference."""
     paths = _eval_inputs(tmp_path, 300, src="ca", tgt="es")
     hyp_lines = paths["hyp"].read_text(encoding="utf-8").splitlines()
     # upper-cased segments make ``lowercase`` change the scores

@@ -11,7 +11,6 @@ from bitextkit import corpus_io, tokenizer
 from bitextkit.cli import cli
 from bitextkit.langid import save_model
 from bitextkit.corpus_io import SentencePair
-from bitextkit.evaluation import cognate_report
 from bitextkit.pipeline import (
     ConfigParseError,
     PipelineConfig,
@@ -512,27 +511,28 @@ def test_dump_json_failure_keeps_the_previous_file(tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
 
 
-def test_cognate_report_bodies_share_keys_and_rate_rule():
-    """With and without system output the body has the same keys in the
-    same order and the same cognate_rate; only the preservation fields
-    differ. Both bodies are pinned byte for byte."""
+def test_cognates_bodies_share_keys_and_rate_rule(cognates_command):
+    """With and without system output the ``cognates`` report has the same
+    keys and the same cognate_rate; only the preservation fields differ.
+    Both bodies are pinned byte for byte, keys sorted as the command
+    prints them."""
     src = ["una contribució financera important", "la biblioteca pública municipal tanca", "el vent del nord"]
     ref = ["una contribución financiera importante", "la biblioteca pública municipal cierra", "el viento del norte"]
     pairs = [SentencePair(i, s, r, "ca", "es") for i, (s, r) in enumerate(zip(src, ref))]
     system = [line.split() for line in ("una contribución importante", "la biblioteca cierra", "el viento del norte")]
-    _, without = cognate_report(pairs, None, 0.3, 4, 1)
-    _, with_sys = cognate_report(pairs, system, 0.3, 4, 1)
+    _, without = cognates_command(pairs, None, 0.3, 4, 1)
+    _, with_sys = cognates_command(pairs, system, 0.3, 4, 1)
     assert list(without) == list(with_sys)
     assert without == {**with_sys, "preserved": None, "preservation_rate": None}
     assert json.dumps(without) == (
-        '{"pairs_examined": 9, "cognate_pairs": 6, "cognate_rate": 0.6666666666666666,'
-        ' "preserved": null, "preservation_rate": null, "threshold": 0.3}'
+        '{"cognate_pairs": 6, "cognate_rate": 0.6666666666666666, "pairs_examined": 9,'
+        ' "preservation_rate": null, "preserved": null, "threshold": 0.3}'
     )
     assert json.dumps(with_sys) == (
-        '{"pairs_examined": 9, "cognate_pairs": 6, "cognate_rate": 0.6666666666666666,'
-        ' "preserved": 3, "preservation_rate": 0.5, "threshold": 0.3}'
+        '{"cognate_pairs": 6, "cognate_rate": 0.6666666666666666, "pairs_examined": 9,'
+        ' "preservation_rate": 0.5, "preserved": 3, "threshold": 0.3}'
     )
-    _, empty = cognate_report([], None, 0.3, 4, 1)
+    _, empty = cognates_command([], None, 0.3, 4, 1)
     assert empty == {**without, "pairs_examined": 0, "cognate_pairs": 0, "cognate_rate": 0.0}
 
 

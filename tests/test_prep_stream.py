@@ -219,10 +219,16 @@ with open("/proc/self/status", encoding="ascii") as fh:
 
 
 def _peak_rss_mb(cfg: Path, out: Path) -> float:
+    return script_peak_rss_mb(_PEAK, cfg, out)
+
+
+def script_peak_rss_mb(script: str, *args) -> float:
+    """Run ``script`` with ``args`` in a fresh interpreter against the
+    source tree; the last line it prints is its peak RSS in MB."""
     env = {key: value for key, value in os.environ.items() if not key.startswith("BITEXTKIT_")}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     done = subprocess.run(
-        [sys.executable, "-c", _PEAK, str(cfg), str(out)], env=env, capture_output=True, text=True, timeout=300
+        [sys.executable, "-c", script, *map(str, args)], env=env, capture_output=True, text=True, timeout=300
     )
     assert done.returncode == 0, done.stderr
     return float(done.stdout.splitlines()[-1])

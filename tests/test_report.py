@@ -143,8 +143,9 @@ def test_multiple_references(tmp_path):
 
 @pytest.mark.parametrize("lowercase", [False, True])
 def test_report_equals_per_line_tokenization(tmp_path, data_dir, lowercase):
-    """score_report tokenizes whole files at once; its scores are those of
-    the lines tokenized one at a time (folded first with ``lowercase``)."""
+    """score_report tokenizes a chunk of lines at a time; its scores are
+    those of the lines tokenized one at a time (folded first with
+    ``lowercase``)."""
     rows = [line.split("\t") for line in (data_dir / "cognates_ca_es.tsv").read_text(encoding="utf-8").splitlines()]
     hyp, ref = tmp_path / "hyp.txt", tmp_path / "ref.txt"
     hyp.write_text("".join(es + "\n" for _, es in rows), encoding="utf-8")

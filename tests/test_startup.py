@@ -20,7 +20,6 @@ import pytest
 
 from bitextkit.cleaner import clean
 from bitextkit.corpus_io import SentencePair
-from bitextkit.evaluation import cognate_report
 from bitextkit.langid import save_model
 from bitextkit.parallel import parallel_map
 from bitextkit.pipeline import run_pipeline, validate_config
@@ -93,7 +92,8 @@ def test_eval_commands_never_load_numpy(command, corpus, tmp_path):
         "stats": ["stats", "--src", es, "--tgt", ca],
         "pipeline": ["pipeline", "--config", config],
     }[command]
-    assert _main(args)["numpy"] is False
+    loaded = _main(args)
+    assert loaded["numpy"] is False and loaded["multiprocessing"] is False
 
 
 def _eval_config(tmp_path, segments: int, workers: int) -> Path:
@@ -159,9 +159,9 @@ def test_pool_starts_one_process_per_item_at_most(started):
     assert started == [3, 4]
 
 
-def test_cognates_and_clean_start_only_the_processes_their_chunks_use(started, fixture_model):
+def test_cognates_and_clean_start_only_the_processes_their_chunks_use(started, fixture_model, cognates_command):
     pairs = [SentencePair(i, ES[i % 2], CA[i % 2], "es", "ca") for i in range(300)]
-    assert cognate_report(pairs, None, 0.3, 4, 4) == cognate_report(pairs, None, 0.3, 4, 1)
+    assert cognates_command(pairs, None, 0.3, 4, 4) == cognates_command(pairs, None, 0.3, 4, 1)
     assert started == [3]  # 300 pairs are 3 chunks of 128
 
     started.clear()
